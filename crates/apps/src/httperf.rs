@@ -190,28 +190,33 @@ impl HttperfProc {
         }
     }
 
+    /// Open one connection. A refused `connect` (e.g. no free port in
+    /// `port_range`) counts as a connection error and is not retried.
     fn open_conn(&mut self, ctx: &mut Ctx<'_, Msg>) {
         ctx.charge(calibration::CLIENT_CONN);
         let now = ctx.now().as_nanos();
-        if let Ok(sock) = self
+        let Ok(sock) = self
             .stack
             .connect(self.cfg.target.0, self.cfg.target.1, now)
-        {
-            for &opt in &self.cfg.sock_opts {
-                let _ = self.stack.set_opt(sock, opt);
-            }
-            self.metrics.borrow_mut().conns_opened += 1;
-            self.conns.insert(
-                sock,
-                ConnRun {
-                    parser: http::StreamParser::new(),
-                    requests_done: 0,
-                    counted: 0,
-                    sent_at: None,
-                    connected: false,
-                },
-            );
+        else {
+            self.metrics.borrow_mut().conn_errors += 1;
+            self.obs.conn_errors.inc();
+            return;
+        };
+        for &opt in &self.cfg.sock_opts {
+            let _ = self.stack.set_opt(sock, opt);
         }
+        self.metrics.borrow_mut().conns_opened += 1;
+        self.conns.insert(
+            sock,
+            ConnRun {
+                parser: http::StreamParser::new(),
+                requests_done: 0,
+                counted: 0,
+                sent_at: None,
+                connected: false,
+            },
+        );
     }
 
     /// Drain a connection's receive buffer through the unified readiness
@@ -454,5 +459,52 @@ impl Process<Msg> for HttperfProc {
                 }
             }
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use neat_sim::{MachineSpec, Sim, SimConfig};
+
+    /// Swallows every frame the client sends: no server ever answers.
+    struct BlackHole;
+    impl Process<Msg> for BlackHole {
+        fn name(&self) -> String {
+            "blackhole".into()
+        }
+        fn on_event(&mut self, _ctx: &mut Ctx<'_, Msg>, _ev: Event<Msg>) {}
+    }
+
+    #[test]
+    fn refused_connect_counts_as_conn_error() {
+        // One ephemeral port and no server: the first connection holds the
+        // port in SYN_SENT for the whole run, so the other two opens are
+        // refused by the stack.
+        let mut sim: Sim<Msg> = Sim::new(SimConfig::default());
+        let m = sim.add_machine(MachineSpec::load_generator());
+        let nic = sim.spawn(sim.hw_thread(m, 0, 0), Box::new(BlackHole));
+        let cfg = HttperfConfig {
+            target: (Ipv4Addr::new(10, 0, 0, 1), 80),
+            num_conns: 3,
+            port_range: (40_000, 40_000),
+            ..HttperfConfig::default()
+        };
+        let metrics = Rc::new(RefCell::new(ClientMetrics::default()));
+        let client = HttperfProc::new(
+            "httperf.0",
+            cfg,
+            nic,
+            Ipv4Addr::new(10, 0, 0, 2),
+            MacAddr([0x02, 0, 0, 0, 0, 2]),
+            Vec::new(),
+            metrics.clone(),
+        );
+        sim.spawn(sim.hw_thread(m, 1, 0), Box::new(client));
+        sim.run_until(Time::from_millis(1));
+        let m = metrics.borrow();
+        assert_eq!(m.conns_opened, 1);
+        assert_eq!(m.conn_errors, 2);
+        assert_eq!(neat_obs::counter("client.conn_errors").get(), 2);
     }
 }

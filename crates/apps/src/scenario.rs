@@ -21,6 +21,36 @@ pub const SERVER_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 1]);
 pub const CLIENT_MAC: MacAddr = MacAddr([0x02, 0, 0, 0, 0, 2]);
 pub const BASE_PORT: u16 = 8000;
 
+/// First port of httperf client 0's ephemeral range; client `i` owns the
+/// `CLIENT_PORT_SPAN` ports from `CLIENT_PORT_BASE + i * CLIENT_PORT_SPAN`.
+const CLIENT_PORT_BASE: u16 = 16_000;
+const CLIENT_PORT_SPAN: u16 = 3_000;
+
+/// Most httperf clients a testbed can host: one more range would run past
+/// port 65535.
+pub const MAX_CLIENTS: usize = ((u16::MAX - CLIENT_PORT_BASE + 1) / CLIENT_PORT_SPAN) as usize;
+
+/// Disjoint ephemeral port ranges for `clients` httperf clients, in client
+/// order. Panics, naming [`MAX_CLIENTS`], if they do not fit in the port
+/// space.
+fn client_port_ranges(clients: usize) -> Vec<(u16, u16)> {
+    (0..clients)
+        .map(|i| {
+            let lo = u16::try_from(i)
+                .ok()
+                .and_then(|i| i.checked_mul(CLIENT_PORT_SPAN))
+                .and_then(|off| off.checked_add(CLIENT_PORT_BASE));
+            lo.and_then(|lo| Some((lo, lo.checked_add(CLIENT_PORT_SPAN - 1)?)))
+                .unwrap_or_else(|| {
+                    panic!(
+                        "testbed asks for {clients} httperf clients, but at most \
+                         {MAX_CLIENTS} fit the client port space"
+                    )
+                })
+        })
+        .collect()
+}
+
 /// The client workload (httperf parameters).
 #[derive(Debug, Clone)]
 pub struct Workload {
@@ -162,6 +192,7 @@ impl Testbed {
     /// boot phase (listeners replicated, ARP settled) before the load
     /// generators start.
     pub fn build(spec: TestbedSpec) -> Testbed {
+        let port_ranges = client_port_ranges(spec.clients);
         let mut sim: Sim<Msg> = Sim::new(SimConfig {
             seed: spec.seed,
             batch_ns: spec.batch_ns,
@@ -270,16 +301,15 @@ impl Testbed {
         // --- httperf clients ---
         let mut clients = Vec::new();
         let mut client_metrics = Vec::new();
-        for i in 0..spec.clients {
+        for (i, port_range) in port_ranges.into_iter().enumerate() {
             let port = BASE_PORT + (i % spec.web_instances.max(1)) as u16;
-            let range_lo = 16_000 + (i as u16) * 3_000;
             let cfg = HttperfConfig {
                 target: (SERVER_IP, port),
                 num_conns: spec.workload.conns_per_client,
                 requests_per_conn: spec.workload.requests_per_conn,
                 path: spec.workload.path.clone(),
                 timeout_ns: spec.workload.timeout_ns,
-                port_range: (range_lo, range_lo + 2_999),
+                port_range,
                 open_spacing_ns: 50_000,
                 think_ns: spec.workload.think_ns,
                 sock_opts: spec.sock_opts.clone(),
@@ -551,6 +581,7 @@ pub struct MonoTestbed {
 
 impl MonoTestbed {
     pub fn build(spec: MonoTestbedSpec) -> MonoTestbed {
+        let port_ranges = client_port_ranges(spec.clients);
         let mut sim: Sim<Msg> = Sim::new(SimConfig {
             seed: spec.seed,
             batch_ns: spec.batch_ns,
@@ -629,16 +660,15 @@ impl MonoTestbed {
 
         let mut clients = Vec::new();
         let mut client_metrics = Vec::new();
-        for i in 0..spec.clients {
+        for (i, port_range) in port_ranges.into_iter().enumerate() {
             let port = BASE_PORT + (i % spec.web_instances.max(1)) as u16;
-            let range_lo = 16_000 + (i as u16) * 3_000;
             let cfg = HttperfConfig {
                 target: (SERVER_IP, port),
                 num_conns: spec.workload.conns_per_client,
                 requests_per_conn: spec.workload.requests_per_conn,
                 path: spec.workload.path.clone(),
                 timeout_ns: spec.workload.timeout_ns,
-                port_range: (range_lo, range_lo + 2_999),
+                port_range,
                 open_spacing_ns: 50_000,
                 think_ns: spec.workload.think_ns,
                 sock_opts: Vec::new(),
@@ -758,6 +788,30 @@ mod tests {
     fn overcommitted_layout_panics() {
         let spec = TestbedSpec::amd(NeatConfig::single(3), 7);
         let _ = layout_resolved(&spec);
+    }
+
+    #[test]
+    fn client_port_ranges_fill_the_port_space() {
+        let ranges = client_port_ranges(MAX_CLIENTS);
+        assert_eq!(MAX_CLIENTS, 16);
+        assert_eq!(ranges[0], (16_000, 18_999));
+        assert_eq!(ranges[15], (61_000, 63_999));
+    }
+
+    #[test]
+    fn testbed_with_max_clients_builds() {
+        let mut spec = TestbedSpec::amd(NeatConfig::single(1), 1);
+        spec.clients = MAX_CLIENTS;
+        let tb = Testbed::build(spec);
+        assert_eq!(tb.clients.len(), MAX_CLIENTS);
+    }
+
+    #[test]
+    #[should_panic(expected = "at most 16 fit the client port space")]
+    fn testbed_with_too_many_clients_names_the_limit() {
+        let mut spec = TestbedSpec::amd(NeatConfig::single(1), 1);
+        spec.clients = MAX_CLIENTS + 1;
+        let _ = Testbed::build(spec);
     }
 
     #[test]

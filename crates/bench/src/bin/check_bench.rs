@@ -22,39 +22,14 @@
 //! { "benches": { "table1": { "best_krps": { "value": 230.1, "rel_tol": 0.1 } } } }
 //! ```
 //!
-//! A metric passes when `|measured - value| <= rel_tol * |value| + abs_tol`
-//! (`abs_tol` optional, default 0). The quick suite is deterministic with
-//! fixed seeds, so tolerances only need to absorb intentional calibration
-//! shifts, not run-to-run noise.
+//! A metric passes when `|measured - value| <= rel_tol * |value|`. The
+//! quick suite is deterministic with fixed seeds, so tolerances only need
+//! to absorb intentional calibration shifts, not run-to-run noise.
 
 use neat_util::Json;
 
 const BASELINES: &str = "baselines/bench_baselines.json";
 const DEFAULT_REL_TOL: f64 = 0.10;
-
-/// Per-metric tolerance overrides applied by `--write`: `(key, rel, abs)`.
-///
-/// The quick suite's virtual-time metrics are deterministic and get the
-/// tight default, but wall-clock-derived metrics (parallel speedup,
-/// events/sec) measure the *host* — baselines may be written on a 1-CPU
-/// container while CI runs 4-vCPU runners — so they carry a wide band
-/// here and are instead gated semantically inside the bench itself
-/// (par_scale fails below 1.5x speedup on hosts with >= 4 CPUs).
-const WALL_CLOCK_TOLS: &[(&str, f64, f64)] = &[
-    ("sim.parallel_speedup", 3.0, 2.0),
-    ("par_scale_speedup_2x", 3.0, 2.0),
-    ("par_scale_speedup_4x", 3.0, 2.0),
-    ("par_scale_speedup_8x", 3.0, 2.0),
-    ("par_scale_serial_meps", 3.0, 5.0),
-];
-
-fn tolerance_for(key: &str) -> (f64, f64) {
-    WALL_CLOCK_TOLS
-        .iter()
-        .find(|(k, _, _)| *k == key)
-        .map(|(_, rel, abs)| (*rel, *abs))
-        .unwrap_or((DEFAULT_REL_TOL, 0.0))
-}
 
 fn load(path: &str) -> Result<Json, String> {
     let text = std::fs::read_to_string(path).map_err(|e| format!("{path}: {e}"))?;
@@ -80,11 +55,9 @@ fn write_baselines(benches: &[&str]) -> Result<(), String> {
     for bench in benches {
         let mut obj = Json::object();
         for (k, v) in result_metrics(bench)? {
-            let (rel, abs) = tolerance_for(&k);
-            let mut spec = Json::object().field("value", v).field("rel_tol", rel);
-            if abs > 0.0 {
-                spec = spec.field("abs_tol", abs);
-            }
+            let spec = Json::object()
+                .field("value", v)
+                .field("rel_tol", DEFAULT_REL_TOL);
             obj = obj.field(k, spec);
         }
         out = out.field(*bench, obj);
@@ -126,13 +99,12 @@ fn check() -> Result<Vec<String>, String> {
                 .get("rel_tol")
                 .and_then(|v| v.as_f64())
                 .unwrap_or(DEFAULT_REL_TOL);
-            let abs = spec.get("abs_tol").and_then(|v| v.as_f64()).unwrap_or(0.0);
             let Some(&(_, got)) = measured.iter().find(|(k, _)| k == key) else {
                 failures.push(format!("{bench}.{key}: metric missing from results"));
                 continue;
             };
             checked += 1;
-            let allowed = rel * value.abs() + abs;
+            let allowed = rel * value.abs();
             let drift = (got - value).abs();
             if drift > allowed {
                 failures.push(format!(

@@ -21,17 +21,13 @@
 //! * **churners** (15%): request, close, reconnect — TIME_WAIT wheel
 //!   entries, inline reaping, demux insert/remove churn.
 //!
-//! ## Sharded execution (`--shards N` / `NEAT_SHARDS=N`)
+//! ## Lanes
 //!
-//! Client stacks are partitioned into independent *lanes* (one stack, its
-//! connections, and a private RNG stream per lane) that run on real worker
-//! threads; the server stack stays on the main thread and consumes client
-//! segments in lane order at every exchange. Because each lane's history
-//! depends only on its own state plus a lane-ordered segment stream, the
-//! run is **byte-identical at any shard count** — CI runs the quick
-//! profile at `--shards 1`, `2`, and `4` and diffs the JSON. Worker
-//! threads run with the `neat-obs` registry disabled so the embedded
-//! metrics snapshot cannot depend on the shard layout either.
+//! Client stacks are partitioned into *lanes* (one stack, its connections,
+//! and a private RNG stream per lane), run in lane order; the server stack
+//! consumes client segments in lane order at every exchange. Lane work runs
+//! with the `neat-obs` registry off, so the embedded metrics snapshot
+//! counts the server stack only.
 //!
 //! Everything is deterministic: one seed, virtual time only, no wall
 //! clock in any reported number.
@@ -41,7 +37,6 @@ use neat_net::TcpHeader;
 use neat_tcp::{SockEvent, SocketId, TcpConfig, TcpStack};
 use neat_util::{FxHashMap, Rng};
 use std::net::Ipv4Addr;
-use std::sync::mpsc;
 
 const SERVER_IP: Ipv4Addr = Ipv4Addr::new(10, 0, 0, 1);
 const PORT: u16 = 80;
@@ -57,9 +52,8 @@ const REQ_LEN: usize = 16;
 const RESP_SMALL: usize = 512;
 const RESP_BIG: usize = 8 * 1024;
 
-/// Connections per client stack (= per lane). Small enough that even the
-/// `--quick` population spans several lanes (so `--shards 2/4` is real
-/// parallelism), comfortably under the 16384-port ephemeral span.
+/// Connections per client stack (= per lane), comfortably under the
+/// 16384-port ephemeral span.
 const CONNS_PER_STACK: usize = 2_500;
 
 /// An in-flight TCP segment between a lane and the server.
@@ -117,10 +111,8 @@ fn lane_of_ip(ip: Ipv4Addr) -> usize {
     (o[2] as usize - 1) * 250 + (o[3] as usize - 1)
 }
 
-/// One independent shard of the client population: a stack, its
-/// connections, a private RNG stream, and private result accumulators.
-/// A lane never touches anything outside itself, so lanes can run on any
-/// worker thread without changing the history.
+/// One slice of the client population: a stack, its connections, a
+/// private RNG stream, and private result accumulators.
 struct Lane {
     stack: TcpStack,
     /// socket id -> lane-local conn index (lookup only — never iterated,
@@ -144,8 +136,7 @@ impl Lane {
             stack: TcpStack::new(lane_ip(i), cfg),
             by_sock: FxHashMap::default(),
             conns: Vec::with_capacity(size),
-            // Same per-domain stream derivation as the simulator engine:
-            // lane streams are independent of the lane->thread layout.
+            // Same per-machine stream derivation as the simulator engine.
             rng: Rng::seed_from_u64(SEED ^ (i as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15)),
             base: i * CONNS_PER_STACK,
             size,
@@ -354,86 +345,15 @@ impl Lane {
     }
 }
 
-/// Worker protocol. Command order per worker is FIFO, which is the only
-/// synchronization the phases need: an `Actions` is always fully applied
-/// before the `Drain` that follows it on the same channel.
-enum Cmd {
-    Actions {
-        tick: u64,
-        now: u64,
-        opened: usize,
-        batch: usize,
-        steady: bool,
-    },
-    Drain {
-        now: u64,
-    },
-    Deliver {
-        now: u64,
-        segs: Vec<(usize, Vec<Seg>)>,
-    },
-    Events {
-        tick: u64,
-        now: u64,
-        steady: bool,
-    },
-    Finish,
-}
-
-enum Reply {
-    /// `Drain` response: (lane id, client->server segments), lane-ordered
-    /// within this worker.
-    Segments(Vec<(usize, Vec<Seg>)>),
-    /// `Finish` response: the lanes themselves, back to the main thread.
-    Lanes(Vec<(usize, Lane)>),
-}
-
-fn worker(mut lanes: Vec<(usize, Lane)>, rx: mpsc::Receiver<Cmd>, tx: mpsc::Sender<Reply>) {
-    // Metric handles index the registering thread's registry; see
-    // `neat_obs::set_thread_enabled`. Disabling also keeps the report's
-    // embedded snapshot independent of the lane->thread layout.
+/// Run `f` over every lane in lane order with the `neat-obs` registry off,
+/// so client-side TCP work never reaches the report's snapshot.
+fn each_lane(lanes: &mut [Lane], f: impl FnMut((usize, &mut Lane))) {
     neat_obs::set_thread_enabled(false);
-    for cmd in rx {
-        match cmd {
-            Cmd::Actions {
-                tick,
-                now,
-                opened,
-                batch,
-                steady,
-            } => {
-                for (_, lane) in &mut lanes {
-                    lane.actions(tick, now, opened, batch, steady);
-                }
-            }
-            Cmd::Drain { now } => {
-                let v = lanes.iter_mut().map(|(i, l)| (*i, l.drain(now))).collect();
-                tx.send(Reply::Segments(v)).expect("main gone");
-            }
-            Cmd::Deliver { now, segs } => {
-                for (i, s) in segs {
-                    let lane = lanes
-                        .iter_mut()
-                        .find(|(li, _)| *li == i)
-                        .map(|(_, l)| l)
-                        .expect("segment for foreign lane");
-                    lane.deliver(now, s);
-                }
-            }
-            Cmd::Events { tick, now, steady } => {
-                for (_, lane) in &mut lanes {
-                    lane.events(tick, now, steady);
-                }
-            }
-            Cmd::Finish => {
-                tx.send(Reply::Lanes(lanes)).expect("main gone");
-                return;
-            }
-        }
-    }
+    lanes.iter_mut().enumerate().for_each(f);
+    neat_obs::set_thread_enabled(true);
 }
 
-/// The server stack and its request/response logic — main thread only.
+/// The server stack and its request/response logic.
 struct Server {
     stack: TcpStack,
     listener: SocketId,
@@ -556,31 +476,11 @@ impl Server {
 
 /// Shuttle segments between lanes and server until quiescent, charging
 /// `ROUND_NS` per round. The server consumes client segments in lane
-/// order every round, so the exchange sequence is independent of how
-/// lanes are spread over workers.
-fn pump(
-    server: &mut Server,
-    txs: &[mpsc::Sender<Cmd>],
-    rxs: &[mpsc::Receiver<Reply>],
-    worker_of: &[usize],
-    now: &mut u64,
-) {
-    let n_lanes = worker_of.len();
+/// order every round.
+fn pump(server: &mut Server, lanes: &mut [Lane], now: &mut u64) {
     loop {
-        for tx in txs {
-            tx.send(Cmd::Drain { now: *now }).expect("worker gone");
-        }
-        let mut by_lane: Vec<Vec<Seg>> = (0..n_lanes).map(|_| Vec::new()).collect();
-        for rx in rxs {
-            match rx.recv().expect("worker gone") {
-                Reply::Segments(v) => {
-                    for (i, segs) in v {
-                        by_lane[i] = segs;
-                    }
-                }
-                Reply::Lanes(_) => unreachable!("lanes returned mid-run"),
-            }
-        }
+        let mut by_lane: Vec<Vec<Seg>> = Vec::with_capacity(lanes.len());
+        each_lane(lanes, |(_, l)| by_lane.push(l.drain(*now)));
         let mut moved = false;
         for (i, segs) in by_lane.iter().enumerate() {
             let src = lane_ip(i);
@@ -591,25 +491,14 @@ fn pump(
         }
         server.work(*now);
         // Server replies, routed back by destination IP.
-        let mut back: Vec<Vec<Seg>> = (0..n_lanes).map(|_| Vec::new()).collect();
+        let mut back: Vec<Vec<Seg>> = (0..lanes.len()).map(|_| Vec::new()).collect();
         while let Some((dst, h, p)) = server.stack.poll_transmit(*now) {
             back[lane_of_ip(dst)].push((h, p));
             moved = true;
         }
-        let mut per_worker: Vec<Vec<(usize, Vec<Seg>)>> =
-            (0..txs.len()).map(|_| Vec::new()).collect();
-        for (i, segs) in back.into_iter().enumerate() {
-            if !segs.is_empty() {
-                per_worker[worker_of[i]].push((i, segs));
-            }
-        }
-        for (w, segs) in per_worker.into_iter().enumerate() {
-            if !segs.is_empty() {
-                txs[w]
-                    .send(Cmd::Deliver { now: *now, segs })
-                    .expect("worker gone");
-            }
-        }
+        each_lane(lanes, |(i, l)| {
+            l.deliver(*now, std::mem::take(&mut back[i]))
+        });
         if !moved {
             break;
         }
@@ -632,15 +521,6 @@ fn main() {
         std::env::set_var("NEAT_BENCH_QUICK", "1");
     }
     let quick = neat_bench::quick();
-    let shards_req: usize = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .cloned()
-        .or_else(|| std::env::var("NEAT_SHARDS").ok())
-        .map(|s| s.parse().expect("--shards expects a positive integer"))
-        .unwrap_or(1)
-        .max(1);
 
     let n_conns: usize = if quick { 10_000 } else { 100_000 };
     let ramp_ticks: u64 = 50;
@@ -659,20 +539,17 @@ fn main() {
         ..TcpConfig::default()
     };
     let n_lanes = n_conns.div_ceil(CONNS_PER_STACK);
-    let shards = shards_req.min(n_lanes);
-    // Lanes are constructed on the main thread, in lane order, so metric
-    // *registration* order (and thus the snapshot's key order) is fixed
-    // regardless of the shard count.
-    let mut lanes: Vec<Option<(usize, Lane)>> = (0..n_lanes)
+    // Lanes register their metrics before the server does, which fixes the
+    // snapshot's key order.
+    let mut lanes: Vec<Lane> = (0..n_lanes)
         .map(|i| {
             let size = CONNS_PER_STACK.min(n_conns - i * CONNS_PER_STACK);
-            Some((i, Lane::new(i, size, client_cfg.clone())))
+            Lane::new(i, size, client_cfg.clone())
         })
         .collect();
-    let worker_of: Vec<usize> = (0..n_lanes).map(|i| i % shards).collect();
     let mut server = Server::new();
 
-    println!("conn_scale: {n_conns} clients over {n_lanes} lanes, {shards} shard worker(s)");
+    println!("conn_scale: {n_conns} clients over {n_lanes} lanes");
     let wall_start = std::time::Instant::now();
 
     let per_tick = n_conns.div_ceil(ramp_ticks as usize);
@@ -680,74 +557,35 @@ fn main() {
     let mut now = 0u64;
     let mut mem_per_conn_half = 0.0f64;
     let mut steady_sample: Vec<(u64, usize, f64)> = Vec::new();
-    let mut finished: Vec<(usize, Lane)> = Vec::with_capacity(n_lanes);
 
-    std::thread::scope(|s| {
-        let mut txs = Vec::with_capacity(shards);
-        let mut rxs = Vec::with_capacity(shards);
-        for w in 0..shards {
-            let (ctx, crx) = mpsc::channel::<Cmd>();
-            let (rtx, rrx) = mpsc::channel::<Reply>();
-            let mine: Vec<(usize, Lane)> = (0..n_lanes)
-                .filter(|i| worker_of[*i] == w)
-                .map(|i| lanes[i].take().expect("lane taken twice"))
-                .collect();
-            s.spawn(move || worker(mine, crx, rtx));
-            txs.push(ctx);
-            rxs.push(rrx);
+    for tick in 0..total_ticks {
+        now = now.max(tick * TICK_NS);
+        let steady = tick >= warmup_ticks;
+
+        // Ramp: open the next batch of connections (each lane opens its
+        // slice of the global range).
+        let batch = per_tick.min(n_conns - opened);
+        each_lane(&mut lanes, |(_, l)| {
+            l.actions(tick, now, opened, batch, steady)
+        });
+        opened += batch;
+        server.timers(now);
+        pump(&mut server, &mut lanes, &mut now);
+        each_lane(&mut lanes, |(_, l)| l.events(tick, now, steady));
+        pump(&mut server, &mut lanes, &mut now);
+
+        if tick == ramp_ticks / 2 {
+            mem_per_conn_half = server.stack.budget().bytes_per_conn();
         }
-
-        for tick in 0..total_ticks {
-            now = now.max(tick * TICK_NS);
-            let steady = tick >= warmup_ticks;
-
-            // Ramp: open the next batch of connections (each lane opens
-            // its slice of the global range).
-            let batch = per_tick.min(n_conns - opened);
-            for tx in &txs {
-                tx.send(Cmd::Actions {
-                    tick,
-                    now,
-                    opened,
-                    batch,
-                    steady,
-                })
-                .expect("worker gone");
-            }
-            opened += batch;
-            server.timers(now);
-            pump(&mut server, &txs, &rxs, &worker_of, &mut now);
-            for tx in &txs {
-                tx.send(Cmd::Events { tick, now, steady })
-                    .expect("worker gone");
-            }
-            pump(&mut server, &txs, &rxs, &worker_of, &mut now);
-
-            if tick == ramp_ticks / 2 {
-                mem_per_conn_half = server.stack.budget().bytes_per_conn();
-            }
-            if steady && (tick - warmup_ticks).is_multiple_of(50) {
-                steady_sample.push((
-                    tick,
-                    server.stack.conn_count(),
-                    server.stack.budget().bytes_per_conn(),
-                ));
-            }
+        if steady && (tick - warmup_ticks).is_multiple_of(50) {
+            steady_sample.push((
+                tick,
+                server.stack.conn_count(),
+                server.stack.budget().bytes_per_conn(),
+            ));
         }
-
-        for tx in &txs {
-            tx.send(Cmd::Finish).expect("worker gone");
-        }
-        for rx in &rxs {
-            match rx.recv().expect("worker gone") {
-                Reply::Lanes(mut v) => finished.append(&mut v),
-                Reply::Segments(_) => unreachable!("drain after finish"),
-            }
-        }
-    });
-    finished.sort_by_key(|(i, _)| *i);
-    // Wall time is printed, never reported: the JSON must be identical
-    // across shard counts.
+    }
+    // Wall time is printed, never reported: the JSON stays byte-identical.
     println!(
         "conn_scale: simulated {} ms in {:.1}s wall",
         total_ticks * TICK_NS / 1_000_000,
@@ -758,7 +596,7 @@ fn main() {
     let mut completed_steady = 0u64;
     let mut refused = 0u64;
     let mut latencies_ns: Vec<u64> = Vec::new();
-    for (_, lane) in &finished {
+    for lane in &lanes {
         completed += lane.completed;
         completed_steady += lane.completed_steady;
         refused += lane.refused;
@@ -775,7 +613,7 @@ fn main() {
         }
         eprintln!("server socket states: {dist:?}");
         let mut cdist = std::collections::BTreeMap::new();
-        for (_, lane) in &finished {
+        for lane in &lanes {
             for id in lane.stack.socket_ids() {
                 if let Some(st) = lane.stack.state(id) {
                     *cdist.entry(format!("{st:?}")).or_insert(0u64) += 1;

@@ -18,14 +18,6 @@ use std::process::Command;
 fn main() {
     let args: Vec<String> = std::env::args().collect();
     let quick = args.iter().any(|a| a == "--quick") || neat_bench::quick();
-    // `--shards N` is forwarded to shard-aware experiments (conn_scale;
-    // failover accepts it for CI-matrix uniformity) via NEAT_SHARDS;
-    // shard-oblivious binaries ignore it.
-    let shards = args
-        .iter()
-        .position(|a| a == "--shards")
-        .and_then(|i| args.get(i + 1))
-        .cloned();
     let bins = [
         "table1",
         "fig4_5",
@@ -41,7 +33,6 @@ fn main() {
         "ablations",
         "cc_compare",
         "conn_scale",
-        "par_scale",
     ];
     let _ = std::fs::remove_dir_all("results");
     let exe = std::env::current_exe().expect("self path");
@@ -52,9 +43,6 @@ fn main() {
         let mut cmd = Command::new(dir.join(b));
         if quick {
             cmd.env("NEAT_BENCH_QUICK", "1");
-        }
-        if let Some(s) = &shards {
-            cmd.env("NEAT_SHARDS", s);
         }
         match cmd.status() {
             Ok(status) if status.success() => {}

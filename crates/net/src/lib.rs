@@ -11,6 +11,8 @@
 //! 82599 NIC uses to steer each connection to one stack replica (§3.1, §4),
 //! and a pcap writer for inspecting simulated traffic in Wireshark.
 
+#![forbid(unsafe_code)]
+
 pub mod arp;
 pub mod checksum;
 pub mod ethernet;

@@ -19,6 +19,8 @@
 //! The crate is pure hardware logic; the driver *process* that connects a
 //! NIC to stack replicas lives in the `neat` crate.
 
+#![forbid(unsafe_code)]
+
 pub mod device;
 pub mod faults;
 pub mod link;

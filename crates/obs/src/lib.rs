@@ -20,6 +20,8 @@
 //! the workspace — simulator, NIC, TCP, NEaT core, monolith baseline,
 //! applications — can report through it without dependency cycles.
 
+#![forbid(unsafe_code)]
+
 pub mod metrics;
 pub mod stats;
 pub mod trace;

@@ -40,13 +40,11 @@ fn with<R>(f: impl FnOnce(&mut Registry) -> R) -> R {
 
 /// Disable (or re-enable) the metrics registry on the **current thread**.
 ///
-/// Handles are indices into the registering thread's registry, so a handle
-/// created on the main thread must never be dereferenced on a worker whose
-/// registry has different (or no) registrations. Parallel executors call
-/// `set_thread_enabled(false)` at worker start: every handle operation and
-/// by-name registration on that thread becomes a no-op, which both prevents
-/// cross-registry indexing and keeps the main thread's snapshot independent
-/// of how work was spread across threads (determinism across shard counts).
+/// While disabled, every handle operation and by-name registration on this
+/// thread is a no-op. A bench calls it to keep work out of its report's
+/// snapshot: `failover` disables the registry for the whole binary, and
+/// `conn_scale` disables it around its client lanes so the snapshot
+/// counts the server stack only.
 pub fn set_thread_enabled(on: bool) {
     ENABLED.with(|e| e.set(on));
 }

@@ -1,6 +1,5 @@
-//! The discrete-event engine: per-machine event heaps, dispatch, CPU-time
-//! accounting — organised so the same history can be produced serially or
-//! by parallel shard workers.
+//! The discrete-event engine: one event heap, dispatch, CPU-time
+//! accounting.
 //!
 //! The engine owns all machines and processes and advances simulated time by
 //! dispatching events in `(time, origin machine, origin sequence)` order.
@@ -15,31 +14,22 @@
 //!    the SMT capacity penalty when the sibling hardware thread is busy;
 //! 4. schedules the outputs at the handler's *completion* instant.
 //!
-//! ## Scheduling domains and the determinism contract
+//! ## Event order and determinism
 //!
-//! All mutable scheduling state is partitioned into per-machine
-//! **domains**: each machine owns its event heap, hardware threads, FIFO
-//! backlogs, process table, per-link batches, pid allocator, sequence
-//! counter, and RNG stream. Every event carries the identity of the domain
-//! that *scheduled* it plus that domain's private sequence counter, and the
-//! canonical dispatch order is `(time, origin domain, origin seq)` — a key
-//! each domain computes from purely local history. A handler only ever
-//! reads and writes its own domain (enforced by [`Ctx`]'s narrow surface),
-//! so the history of a domain depends only on the time-ordered set of
-//! events addressed to it, never on how domains interleave on host
-//! threads. That is what lets [`crate::Sim::run_sharded`] execute domains
-//! on real OS threads under conservative time windows and still produce
-//! bit-identical results to [`crate::Sim::run_until`] for any shard count
-//! — see `parallel.rs` and DESIGN.md "Parallel engine & determinism".
+//! Every event carries the identity of the machine that *scheduled* it plus
+//! that machine's private sequence counter, and [`Sim`] pops its single
+//! heap in `(time, origin machine, origin seq)` order — a total order, so
+//! same seed ⇒ same history. Each machine also owns its pid allocator
+//! (pids are `(machine + 1) << 40 | local`) and its RNG stream, so a
+//! machine's pids and draws depend only on its own history. A handler
+//! reaches only its own machine's state through [`Ctx`]; other machines
+//! hear from it by message. See DESIGN.md "Event order & determinism".
 //!
-//! Machine-local rules that uphold the contract (asserted, not implied):
+//! Machine-local rules of the cost model:
 //!
 //! * `Ctx::spawn` targets a hardware thread of the calling process's own
 //!   machine (the harness-level [`Sim::spawn`] can target any machine);
 //! * `Ctx::is_alive` answers for processes of the caller's machine only;
-//! * cross-machine sends must declare at least
-//!   [`SimConfig::link_latency_ns`] of extra delivery delay (the
-//!   conservative lookahead of the parallel executor);
 //! * per-link coalescing applies to machine-local links only, and the
 //!   MWAIT wake-up charge is paid for machine-local destinations only
 //!   (cross-machine traffic is signalled by the receiving NIC's IRQ path,
@@ -54,7 +44,6 @@ use crate::calibration;
 use crate::machine::{
     HwThread, HwThreadId, Machine, MachineId, MachineSpec, ThreadKind, ThreadStats,
 };
-use crate::parallel::ParStats;
 use crate::process::{Event, ProcId, Process};
 use crate::time::{Cycles, Time};
 
@@ -74,13 +63,6 @@ pub struct SimConfig {
     pub batch_ns: u64,
     /// Flush an open batch early once it holds this many messages.
     pub batch_max: usize,
-    /// Declared minimum extra delivery delay of every cross-machine send,
-    /// in nanoseconds (asserted at send time). Together with the channel
-    /// latency this bounds the conservative synchronization window of
-    /// [`Sim::run_sharded`]: larger declared link latency ⇒ larger
-    /// windows ⇒ fewer barriers. `0` (the default) declares nothing and
-    /// keeps the window at the bare channel latency.
-    pub link_latency_ns: u64,
 }
 
 impl Default for SimConfig {
@@ -89,7 +71,6 @@ impl Default for SimConfig {
             seed: 0xEA7_F00D,
             batch_ns: 0,
             batch_max: 32,
-            link_latency_ns: 0,
         }
     }
 }
@@ -102,7 +83,6 @@ impl SimConfig {
             seed,
             batch_ns: 2_000,
             batch_max: 32,
-            ..SimConfig::default()
         }
     }
 }
@@ -132,14 +112,6 @@ impl BatchStats {
             self.batched_msgs as f64 / self.batch_deliveries as f64
         }
     }
-
-    fn merge(&mut self, o: &BatchStats) {
-        self.flush_timer += o.flush_timer;
-        self.flush_depth += o.flush_depth;
-        self.flush_close += o.flush_close;
-        self.batched_msgs += o.batched_msgs;
-        self.batch_deliveries += o.batch_deliveries;
-    }
 }
 
 /// One open per-link batch: messages coalescing toward a single delivery.
@@ -155,28 +127,27 @@ struct LinkBatch<M> {
     epoch: u64,
 }
 
-/// The identity a scheduled event carries: which domain scheduled it and
-/// that domain's private sequence number — globally unique, and computable
-/// from the origin domain's local history alone.
+/// The identity a scheduled event carries: which machine scheduled it and
+/// that machine's private sequence number — globally unique, and computable
+/// from the origin machine's local history alone.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-pub(crate) struct Origin {
-    pub dom: u32,
-    pub seq: u64,
+struct Origin {
+    dom: u32,
+    seq: u64,
 }
 
-pub(crate) struct HeapEv<M> {
-    pub time: Time,
-    pub origin: Origin,
-    pub kind: HeapKind<M>,
+struct HeapEv<M> {
+    time: Time,
+    origin: Origin,
+    kind: HeapKind<M>,
 }
 
-pub(crate) enum HeapKind<M> {
+enum HeapKind<M> {
     /// Deliver an event to a process (immediately if its thread is free,
     /// else onto the thread's FIFO queue).
     Deliver { dst: ProcId, ev: Event<M> },
     /// A hardware thread finished its current work: pop its queue.
-    /// Carries the thread's *local* index within its domain.
-    ThreadResume(u32),
+    ThreadResume(HwThreadId),
     /// The `batch_ns` horizon of a per-link batch expired: deliver it.
     /// Stale if the batch was already flushed (epoch mismatch).
     FlushBatch {
@@ -242,56 +213,55 @@ enum Output<M> {
     },
 }
 
-/// Crash-monitor message constructor. `Send + Sync` because a crash inside
-/// a parallel shard worker invokes it on that worker's thread.
-type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M + Send + Sync>;
+/// Crash-monitor message constructor.
+type CrashHook<M> = Box<dyn Fn(ProcId, &str) -> M>;
 
-/// Bits reserved for a domain's local pid counter: pids are
-/// `(domain + 1) << PID_DOM_SHIFT | local`, so allocation is a purely
-/// domain-local operation and the owning domain can be recovered from the
-/// pid itself. `ProcId(0)` stays the reserved "external" sender.
+/// Bits reserved for a machine's local pid counter: pids are
+/// `(machine + 1) << PID_DOM_SHIFT | local`, so allocation is a purely
+/// machine-local operation and the owning machine can be recovered from the
+/// pid itself. `ProcId(0)` stays the reserved "external" sender. Metric
+/// names embed pids (e.g. `web.accepted.r1099511627783`), so the encoding
+/// is part of every report.
 const PID_DOM_SHIFT: u32 = 40;
 
-pub(crate) fn domain_of_pid(pid: ProcId) -> u32 {
-    debug_assert!(pid.0 >> PID_DOM_SHIFT != 0, "pid {pid:?} has no domain");
+fn machine_of_pid(pid: ProcId) -> u32 {
+    debug_assert!(pid.0 >> PID_DOM_SHIFT != 0, "pid {pid:?} has no machine");
     (pid.0 >> PID_DOM_SHIFT) as u32 - 1
 }
 
-/// Location of a hardware thread: owning domain + index within it.
+/// Location of a hardware thread: owning machine + index within it.
 #[derive(Debug, Clone, Copy)]
-pub(crate) struct ThreadLoc {
-    pub dom: u32,
-    pub idx: u32,
+struct ThreadLoc {
+    dom: u32,
+    idx: u32,
 }
 
-/// Immutable-during-run topology shared by every executor thread.
-pub(crate) struct Topo {
-    pub machines: Vec<Machine>,
-    /// Global `HwThreadId` → (domain, local index).
-    pub thread_loc: Vec<ThreadLoc>,
+/// Machines and thread locations (fixed once processes run).
+struct Topo {
+    machines: Vec<Machine>,
+    /// Global `HwThreadId` → (machine, local index).
+    thread_loc: Vec<ThreadLoc>,
 }
 
 impl Topo {
-    pub(crate) fn loc(&self, t: HwThreadId) -> ThreadLoc {
+    fn loc(&self, t: HwThreadId) -> ThreadLoc {
         self.thread_loc[t.0]
     }
 }
 
-/// All mutable scheduling state of one machine. A domain is the unit of
-/// shard ownership: during a parallel window exactly one worker thread
-/// touches it.
-pub(crate) struct DomainState<M> {
-    pub dom: u32,
-    pub heap: BinaryHeap<HeapEv<M>>,
+/// The scheduling state one machine owns: everything a handler on it may
+/// touch, plus the counters that feed event keys, pids and random draws.
+struct MachineState<M> {
+    dom: u32,
     /// Private monotone event-sequence counter (origin identity).
-    pub seq: u64,
-    /// Private pid allocator (low bits of this domain's pids).
+    seq: u64,
+    /// Private pid allocator (low bits of this machine's pids).
     next_pid: u64,
-    pub rng: Rng,
+    rng: Rng,
     /// This machine's hardware threads, indexed by local thread index.
-    pub threads: Vec<HwThread>,
+    threads: Vec<HwThread>,
     /// Global ids of the local threads (export/debug naming).
-    pub thread_ids: Vec<HwThreadId>,
+    thread_ids: Vec<HwThreadId>,
     /// Per-local-thread FIFO of events waiting for the thread.
     pending: Vec<VecDeque<(ProcId, Event<M>)>>,
     /// Whether a ThreadResume marker is scheduled per local thread.
@@ -300,22 +270,16 @@ pub(crate) struct DomainState<M> {
     /// Open per-link batches keyed by `(src, dst)` (machine-local links).
     batches: HashMap<(ProcId, ProcId), LinkBatch<M>>,
     batch_epoch: u64,
-    pub batch_stats: BatchStats,
-    pub events_dispatched: u64,
-    pub spawns: u64,
-    pub crashes: u64,
-    pub exits: u64,
 }
 
-impl<M> DomainState<M> {
-    fn new(dom: u32, seed: u64) -> DomainState<M> {
-        // Independent per-machine stream: domain-separated SplitMix-style
+impl<M> MachineState<M> {
+    fn new(dom: u32, seed: u64) -> MachineState<M> {
+        // Independent per-machine stream: machine-separated SplitMix-style
         // derivation so machine k's draws are stable however many other
-        // machines exist and wherever they execute.
+        // machines exist.
         let rng = Rng::seed_from_u64(seed ^ (dom as u64 + 1).wrapping_mul(0x9E37_79B9_7F4A_7C15));
-        DomainState {
+        MachineState {
             dom,
-            heap: BinaryHeap::new(),
             seq: 0,
             next_pid: 1,
             rng,
@@ -326,11 +290,6 @@ impl<M> DomainState<M> {
             procs: HashMap::new(),
             batches: HashMap::new(),
             batch_epoch: 0,
-            batch_stats: BatchStats::default(),
-            events_dispatched: 0,
-            spawns: 0,
-            crashes: 0,
-            exits: 0,
         }
     }
 
@@ -349,15 +308,6 @@ impl<M> DomainState<M> {
         o
     }
 
-    fn push(&mut self, time: Time, dst: ProcId, ev: Event<M>) {
-        let origin = self.next_origin();
-        self.heap.push(HeapEv {
-            time,
-            origin,
-            kind: HeapKind::Deliver { dst, ev },
-        });
-    }
-
     fn ensure_thread_books(&mut self) {
         while self.pending.len() < self.threads.len() {
             self.pending.push(VecDeque::new());
@@ -366,64 +316,29 @@ impl<M> DomainState<M> {
     }
 }
 
-/// How the running kernel resolves a domain index to mutable state: the
-/// serial engine owns every domain; a shard worker owns a subset and
-/// forwards the rest through its outbox.
-pub(crate) enum DomMap<'a> {
-    /// `domains[i]` is domain `i` (the serial engine).
-    Identity,
-    /// `map[dom]` is the position in the owned slice, or `None` if the
-    /// domain belongs to another shard.
-    Partial(&'a [Option<usize>]),
-}
-
-/// A message crossing shard boundaries, exchanged at window barriers.
-pub(crate) struct Handoff<M> {
-    pub time: Time,
-    pub origin: Origin,
-    pub dst: ProcId,
-    pub ev: Event<M>,
-}
-
-/// Per-destination-shard buffers a worker fills during a window.
-pub(crate) type Outbox<M> = Vec<Vec<Handoff<M>>>;
-
-/// The executing kernel: the domain slice it may touch plus the routing
-/// table for everything else. Both the serial engine and each parallel
-/// shard worker drive dispatch through this one code path, which is what
-/// keeps their histories identical.
-pub(crate) struct Kernel<'a, M> {
-    pub domains: &'a mut [DomainState<M>],
-    pub map: DomMap<'a>,
-    pub topo: &'a Topo,
-    pub batch_ns: Time,
-    pub batch_max: usize,
-    pub link_latency: Time,
-    pub crash_monitor: Option<&'a (ProcId, CrashHook<M>)>,
-    /// Per-shard outboxes (parallel workers only). `None` means every
-    /// domain is local and cross-domain pushes go straight to its heap.
-    pub outbox: Option<(&'a [u32], &'a mut Outbox<M>)>,
-    pub tracing: bool,
-}
-
-#[path = "engine_kernel.rs"]
-mod engine_kernel;
+#[path = "engine_dispatch.rs"]
+mod engine_dispatch;
 
 /// The simulation world.
 pub struct Sim<M> {
     now: Time,
     /// Simulation seed: each machine derives its RNG stream from this.
     seed: u64,
-    pub(crate) topo: Topo,
-    pub(crate) domains: Vec<DomainState<M>>,
+    topo: Topo,
+    /// Per-machine state, indexed by machine id.
+    states: Vec<MachineState<M>>,
+    /// Every pending event of every machine.
+    heap: BinaryHeap<HeapEv<M>>,
     /// `(monitor process, message constructor)` notified on crashes.
-    pub(crate) crash_monitor: Option<(ProcId, CrashHook<M>)>,
+    crash_monitor: Option<(ProcId, CrashHook<M>)>,
     /// Coalescing horizon (zero = batching off) and early-flush depth.
-    pub(crate) batch_ns: Time,
-    pub(crate) batch_max: usize,
-    pub(crate) link_latency: Time,
-    /// Filled in by the last [`Sim::run_sharded`] call.
-    pub(crate) par_stats: ParStats,
+    batch_ns: Time,
+    batch_max: usize,
+    batch_stats: BatchStats,
+    events_dispatched: u64,
+    spawns: u64,
+    crashes: u64,
+    exits: u64,
 }
 
 impl<M: 'static> Sim<M> {
@@ -435,29 +350,22 @@ impl<M: 'static> Sim<M> {
                 machines: Vec::new(),
                 thread_loc: Vec::new(),
             },
-            domains: Vec::new(),
+            states: Vec::new(),
+            heap: BinaryHeap::new(),
             crash_monitor: None,
             batch_ns: Time(config.batch_ns),
             batch_max: config.batch_max.max(1),
-            link_latency: Time(config.link_latency_ns),
-            par_stats: ParStats::default(),
+            batch_stats: BatchStats::default(),
+            events_dispatched: 0,
+            spawns: 0,
+            crashes: 0,
+            exits: 0,
         }
     }
 
-    /// Coalescing counters (occupancy, flush causes) for benches/tests,
-    /// merged across machines.
+    /// Coalescing counters (occupancy, flush causes) for benches/tests.
     pub fn batch_stats(&self) -> BatchStats {
-        let mut s = BatchStats::default();
-        for d in &self.domains {
-            s.merge(&d.batch_stats);
-        }
-        s
-    }
-
-    /// Shard-execution statistics of the last [`Sim::run_sharded`] call
-    /// (zeroed if only the serial engine ran).
-    pub fn par_stats(&self) -> &ParStats {
-        &self.par_stats
+        self.batch_stats
     }
 
     /// Current simulated time.
@@ -466,22 +374,25 @@ impl<M: 'static> Sim<M> {
     }
 
     pub fn events_dispatched(&self) -> u64 {
-        self.domains.iter().map(|d| d.events_dispatched).sum()
+        self.events_dispatched
     }
 
-    /// The conservative lookahead between machines: channel latency plus
-    /// the declared minimum cross-machine link latency. This is the window
-    /// size of [`Sim::run_sharded`].
-    pub fn lookahead(&self) -> Time {
-        calibration::CHANNEL_LATENCY + self.link_latency
+    /// Schedule delivery of `ev` to `dst` at `time`, keyed by the next
+    /// sequence number of machine `origin_dom`.
+    fn push(&mut self, origin_dom: usize, time: Time, dst: ProcId, ev: Event<M>) {
+        let origin = self.states[origin_dom].next_origin();
+        self.heap.push(HeapEv {
+            time,
+            origin,
+            kind: HeapKind::Deliver { dst, ev },
+        });
     }
 
-    /// Add a machine; its hardware threads are created immediately and it
-    /// becomes its own scheduling domain.
+    /// Add a machine; its hardware threads are created immediately.
     pub fn add_machine(&mut self, spec: MachineSpec) -> MachineId {
         let id = MachineId(self.topo.machines.len());
         let dom = id.0 as u32;
-        let mut d = DomainState::new(dom, self.seed);
+        let mut d = MachineState::new(dom, self.seed);
         let mut thread_ids = Vec::new();
         for core in 0..spec.cores {
             let base = self.topo.thread_loc.len();
@@ -515,7 +426,7 @@ impl<M: 'static> Sim<M> {
             }
         }
         d.ensure_thread_books();
-        self.domains.push(d);
+        self.states.push(d);
         self.topo.machines.push(Machine {
             id,
             spec,
@@ -529,7 +440,7 @@ impl<M: 'static> Sim<M> {
     pub fn add_device_thread(&mut self, machine: MachineId) -> HwThreadId {
         let tid = HwThreadId(self.topo.thread_loc.len());
         let dom = machine.0 as u32;
-        let d = &mut self.domains[machine.0];
+        let d = &mut self.states[machine.0];
         self.topo.thread_loc.push(ThreadLoc {
             dom,
             idx: d.threads.len() as u32,
@@ -577,30 +488,18 @@ impl<M: 'static> Sim<M> {
     /// machine (handler-level [`Ctx::spawn`] is machine-local).
     pub fn spawn(&mut self, thread: HwThreadId, proc: Box<dyn Process<M>>) -> ProcId {
         let dom = self.topo.loc(thread).dom as usize;
-        let d = &mut self.domains[dom];
-        let pid = d.alloc_pid();
-        let name = proc.name();
-        d.spawns += 1;
-        d.procs.insert(
-            pid,
-            ProcSlot {
-                proc: Some(proc),
-                thread,
-                name,
-                alive: true,
-            },
-        );
-        let now = self.now;
-        d.push(now, pid, Event::Start);
+        let pid = self.states[dom].alloc_pid();
+        self.insert_proc(pid, thread, proc);
+        self.push(dom, self.now, pid, Event::Start);
         pid
     }
 
     /// Inject a message from "outside" (harness code) into a process.
     pub fn send_external(&mut self, dst: ProcId, msg: M) {
-        let now = self.now;
-        let dom = domain_of_pid(dst) as usize;
-        self.domains[dom].push(
-            now + calibration::CHANNEL_LATENCY,
+        let dom = machine_of_pid(dst) as usize;
+        self.push(
+            dom,
+            self.now + calibration::CHANNEL_LATENCY,
             dst,
             Event::Message {
                 from: ProcId(0),
@@ -610,21 +509,19 @@ impl<M: 'static> Sim<M> {
     }
 
     /// Register the process to be notified (via a constructed message) when
-    /// any other process crashes — the reincarnation-server role. The hook
-    /// is `Send + Sync` because crashes inside parallel shard workers
-    /// invoke it on the worker's thread.
+    /// any other process crashes — the reincarnation-server role.
     pub fn set_crash_monitor(
         &mut self,
         monitor: ProcId,
-        hook: impl Fn(ProcId, &str) -> M + Send + Sync + 'static,
+        hook: impl Fn(ProcId, &str) -> M + 'static,
     ) {
         self.crash_monitor = Some((monitor, Box::new(hook)));
     }
 
     /// Is the process still alive? (Harness-level: any machine.)
     pub fn is_alive(&self, pid: ProcId) -> bool {
-        let dom = domain_of_pid(pid) as usize;
-        self.domains
+        let dom = machine_of_pid(pid) as usize;
+        self.states
             .get(dom)
             .and_then(|d| d.procs.get(&pid))
             .map(|s| s.alive)
@@ -632,8 +529,8 @@ impl<M: 'static> Sim<M> {
     }
 
     pub fn proc_name(&self, pid: ProcId) -> Option<&str> {
-        let dom = domain_of_pid(pid) as usize;
-        self.domains
+        let dom = machine_of_pid(pid) as usize;
+        self.states
             .get(dom)?
             .procs
             .get(&pid)
@@ -641,13 +538,13 @@ impl<M: 'static> Sim<M> {
     }
 
     pub fn proc_thread(&self, pid: ProcId) -> Option<HwThreadId> {
-        let dom = domain_of_pid(pid) as usize;
-        self.domains.get(dom)?.procs.get(&pid).map(|s| s.thread)
+        let dom = machine_of_pid(pid) as usize;
+        self.states.get(dom)?.procs.get(&pid).map(|s| s.thread)
     }
 
     fn thread_ref(&self, tid: HwThreadId) -> &HwThread {
         let loc = self.topo.loc(tid);
-        &self.domains[loc.dom as usize].threads[loc.idx as usize]
+        &self.states[loc.dom as usize].threads[loc.idx as usize]
     }
 
     /// Activity statistics of a hardware thread since the last reset.
@@ -663,7 +560,7 @@ impl<M: 'static> Sim<M> {
     /// window).
     pub fn reset_all_stats(&mut self) {
         let now = self.now;
-        for d in &mut self.domains {
+        for d in &mut self.states {
             for t in &mut d.threads {
                 t.reset_stats(now);
             }
@@ -676,7 +573,7 @@ impl<M: 'static> Sim<M> {
     /// bench reports carry the paper's Table-2-style CPU breakdowns.
     pub fn export_obs(&self) {
         for (idx, loc) in self.topo.thread_loc.iter().enumerate() {
-            let t = &self.domains[loc.dom as usize].threads[loc.idx as usize];
+            let t = &self.states[loc.dom as usize].threads[loc.idx as usize];
             if t.stats.events == 0 && t.stats.active_ns() == 0 {
                 continue; // unused thread: keep the snapshot compact
             }
@@ -692,87 +589,42 @@ impl<M: 'static> Sim<M> {
         }
         neat_obs::gauge_set("sim.now_ns", self.now.as_nanos() as f64);
         neat_obs::gauge_set("sim.events_dispatched", self.events_dispatched() as f64);
-        neat_obs::gauge_set(
-            "sim.heap_len",
-            self.domains.iter().map(|d| d.heap.len()).sum::<usize>() as f64,
-        );
+        neat_obs::gauge_set("sim.heap_len", self.heap.len() as f64);
         neat_obs::gauge_set(
             "sim.live_procs",
-            self.domains
+            self.states
                 .iter()
                 .flat_map(|d| d.procs.values())
                 .filter(|s| s.alive)
                 .count() as f64,
         );
-        neat_obs::gauge_set(
-            "sim.spawns",
-            self.domains.iter().map(|d| d.spawns).sum::<u64>() as f64,
-        );
-        neat_obs::gauge_set(
-            "sim.crashes",
-            self.domains.iter().map(|d| d.crashes).sum::<u64>() as f64,
-        );
-        neat_obs::gauge_set(
-            "sim.exits",
-            self.domains.iter().map(|d| d.exits).sum::<u64>() as f64,
-        );
-        let b = self.batch_stats();
+        neat_obs::gauge_set("sim.spawns", self.spawns as f64);
+        neat_obs::gauge_set("sim.crashes", self.crashes as f64);
+        neat_obs::gauge_set("sim.exits", self.exits as f64);
+        let b = self.batch_stats;
         neat_obs::gauge_set("sim.batch.flush_timer", b.flush_timer as f64);
         neat_obs::gauge_set("sim.batch.flush_depth", b.flush_depth as f64);
         neat_obs::gauge_set("sim.batch.flush_close", b.flush_close as f64);
         neat_obs::gauge_set("sim.batch.batched_msgs", b.batched_msgs as f64);
         neat_obs::gauge_set("sim.batch.deliveries", b.batch_deliveries as f64);
         neat_obs::gauge_set("sim.batch.occupancy", b.occupancy());
-        self.par_stats.export_obs();
     }
 
     /// Run until the event queue is exhausted or simulated time reaches
     /// `until`. Returns the number of events dispatched.
-    ///
-    /// Serial reference executor: picks the globally smallest
-    /// `(time, origin)` key across all domain heaps. `run_sharded`
-    /// produces the exact same history on worker threads.
     pub fn run_until(&mut self, until: Time) -> u64 {
         let mut dispatched = 0u64;
-        loop {
-            let mut best: Option<(Time, Origin, usize)> = None;
-            for (i, d) in self.domains.iter().enumerate() {
-                if let Some(top) = d.heap.peek() {
-                    let key = (top.time, top.origin);
-                    if best.map(|(t, o, _)| key < (t, o)).unwrap_or(true) {
-                        best = Some((top.time, top.origin, i));
-                    }
-                }
-            }
-            let Some((t, _, di)) = best else { break };
-            if t > until {
-                break;
-            }
-            let ev = self.domains[di].heap.pop().unwrap();
+        while self.heap.peek().is_some_and(|top| top.time <= until) {
+            let ev = self.heap.pop().unwrap();
             self.now = ev.time;
-            let mut kernel = Kernel {
-                domains: &mut self.domains,
-                map: DomMap::Identity,
-                topo: &self.topo,
-                batch_ns: self.batch_ns,
-                batch_max: self.batch_max,
-                link_latency: self.link_latency,
-                crash_monitor: self.crash_monitor.as_ref(),
-                outbox: None,
-                tracing: neat_obs::tracing(),
-            };
-            kernel.dispatch(di, ev);
-            self.domains[di].events_dispatched += 1;
+            self.dispatch(ev);
             dispatched += 1;
         }
+        self.events_dispatched += dispatched;
         if self.now < until {
             self.now = until;
         }
         dispatched
-    }
-
-    pub(crate) fn set_now(&mut self, t: Time) {
-        self.now = t;
     }
 }
 
@@ -782,10 +634,9 @@ impl<M: 'static> Sim<M> {
 /// there is no other channel, which is what makes the isolation claim of
 /// the design hold by construction in this reproduction. All state it can
 /// reach directly belongs to the executing process's machine; effects on
-/// other machines travel as messages, which is also what makes a handler
-/// safe to run inside a parallel shard worker.
+/// other machines travel as messages.
 pub struct Ctx<'a, M> {
-    dom: &'a mut DomainState<M>,
+    dom: &'a mut MachineState<M>,
     topo: &'a Topo,
     batching: bool,
     sender_kind: ThreadKind,
@@ -848,9 +699,8 @@ impl<'a, M: 'static> Ctx<'a, M> {
         }
         // The MWAIT wake store applies to machine-local destinations only:
         // a cross-machine send reaches the peer through its NIC, whose IRQ
-        // path the receiver-side costs already model — and peeking at the
-        // remote thread's state here would break shard isolation.
-        if domain_of_pid(dst) == self.dom.dom {
+        // path the receiver-side costs already model.
+        if machine_of_pid(dst) == self.dom.dom {
             if let Some(slot) = self.dom.procs.get(&dst) {
                 let lt = self.topo.loc(slot.thread).idx as usize;
                 let th = &self.dom.threads[lt];
@@ -882,8 +732,8 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// `delay` — process creation is not free, §3.4). The target thread
     /// must belong to the calling process's machine: remote-machine
     /// process management goes through a message to a peer on that
-    /// machine (or the harness between runs), never directly — that is
-    /// what keeps spawning deterministic under sharded execution.
+    /// machine (or the harness between runs), never directly: the pid
+    /// comes from this machine's allocator.
     pub fn spawn(&mut self, thread: HwThreadId, proc: Box<dyn Process<M>>, delay: Time) -> ProcId {
         assert_eq!(
             self.topo.loc(thread).dom,
@@ -934,10 +784,10 @@ impl<'a, M: 'static> Ctx<'a, M> {
     /// information travels by message.
     pub fn is_alive(&self, pid: ProcId) -> bool {
         assert_eq!(
-            domain_of_pid(pid),
+            machine_of_pid(pid),
             self.dom.dom,
             "Ctx::is_alive queried a process on another machine; liveness \
-             is machine-local under the sharded engine"
+             is machine-local"
         );
         self.dom.procs.get(&pid).map(|s| s.alive).unwrap_or(false)
     }

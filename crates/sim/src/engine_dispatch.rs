@@ -2,52 +2,20 @@
 //! `engine` — split out so each engine source file stays within the CI
 //! module-size guard while keeping private-item access).
 //!
-//! [`Kernel`] is the borrowed view a dispatch step operates on: the
-//! domains it may touch, the topology, and the shard outboxes. Both the
-//! serial `Sim::run_until` loop and the parallel shard workers drive
-//! the same `Kernel` code, which is what makes their histories
-//! bit-identical.
+//! [`Sim::dispatch`] runs one event popped from the heap: the machine it
+//! belongs to follows from the event (the destination pid, the batched
+//! link's pids, or the resumed thread).
 
 use super::*;
 
-impl<'a, M: 'static> Kernel<'a, M> {
-    fn pos(&self, dom: u32) -> Option<usize> {
-        match self.map {
-            DomMap::Identity => Some(dom as usize),
-            DomMap::Partial(map) => map[dom as usize],
-        }
-    }
-
-    /// Schedule a Deliver event originated by `origin` into `dom`'s heap,
-    /// or across the shard boundary via the outbox.
-    fn route(&mut self, dom: u32, time: Time, origin: Origin, dst: ProcId, ev: Event<M>) {
-        match self.pos(dom) {
-            Some(p) => self.domains[p].heap.push(HeapEv {
-                time,
-                origin,
-                kind: HeapKind::Deliver { dst, ev },
-            }),
-            None => {
-                let (shard_of, outbox) = self
-                    .outbox
-                    .as_mut()
-                    .expect("non-local domain without an outbox");
-                outbox[shard_of[dom as usize] as usize].push(Handoff {
-                    time,
-                    origin,
-                    dst,
-                    ev,
-                });
-            }
-        }
-    }
-
-    /// Dispatch one event popped from the heap of the domain at `di`.
-    pub(crate) fn dispatch(&mut self, di: usize, ev: HeapEv<M>) {
+impl<M: 'static> Sim<M> {
+    /// Dispatch one event popped from the heap.
+    pub(super) fn dispatch(&mut self, ev: HeapEv<M>) {
         let HeapEv { time, kind, .. } = ev;
         match kind {
             HeapKind::Deliver { dst, ev } => {
-                let d = &mut self.domains[di];
+                let di = machine_of_pid(dst) as usize;
+                let d = &mut self.states[di];
                 let Some(slot) = d.procs.get(&dst) else {
                     return;
                 };
@@ -68,14 +36,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
                     let st = &mut d.threads[lt].stats;
                     st.max_queue = st.max_queue.max(depth);
                     if !d.resume_scheduled[lt] {
-                        d.resume_scheduled[lt] = true;
-                        let at = busy_until.max(time);
-                        let origin = d.next_origin();
-                        d.heap.push(HeapEv {
-                            time: at,
-                            origin,
-                            kind: HeapKind::ThreadResume(lt as u32),
-                        });
+                        self.schedule_resume(di, lt, busy_until.max(time));
                     }
                 } else {
                     self.execute(di, lt, dst, ev, time);
@@ -83,7 +44,8 @@ impl<'a, M: 'static> Kernel<'a, M> {
             }
             HeapKind::FlushBatch { src, dst, epoch } => {
                 // Stale unless the batch is still open under this epoch.
-                let d = &mut self.domains[di];
+                let di = machine_of_pid(src) as usize;
+                let d = &mut self.states[di];
                 let live = d
                     .batches
                     .get(&(src, dst))
@@ -91,18 +53,19 @@ impl<'a, M: 'static> Kernel<'a, M> {
                     .unwrap_or(false);
                 if live {
                     let b = d.batches.remove(&(src, dst)).unwrap();
-                    d.batch_stats.flush_timer += 1;
+                    self.batch_stats.flush_timer += 1;
                     // The horizon IS the delivery instant (`time ==
                     // flush_at >= ready_at`), like interrupt moderation.
                     self.deliver_batch(di, src, dst, b.msgs, time);
                 }
             }
-            HeapKind::ThreadResume(lt) => {
-                let lt = lt as usize;
-                self.domains[di].resume_scheduled[lt] = false;
+            HeapKind::ThreadResume(tid) => {
+                let ThreadLoc { dom, idx } = self.topo.loc(tid);
+                let (di, lt) = (dom as usize, idx as usize);
+                self.states[di].resume_scheduled[lt] = false;
                 // Pop queued work until we find a live destination.
-                while let Some((dst, ev)) = self.domains[di].pending[lt].pop_front() {
-                    let alive = self.domains[di]
+                while let Some((dst, ev)) = self.states[di].pending[lt].pop_front() {
+                    let alive = self.states[di]
                         .procs
                         .get(&dst)
                         .map(|s| s.alive)
@@ -114,34 +77,39 @@ impl<'a, M: 'static> Kernel<'a, M> {
                     break;
                 }
                 // More work queued: chain the next marker.
-                let d = &mut self.domains[di];
+                let d = &self.states[di];
                 if !d.pending[lt].is_empty() && !d.resume_scheduled[lt] {
-                    d.resume_scheduled[lt] = true;
                     let at = d.threads[lt].busy_until.max(time);
-                    let origin = d.next_origin();
-                    d.heap.push(HeapEv {
-                        time: at,
-                        origin,
-                        kind: HeapKind::ThreadResume(lt as u32),
-                    });
+                    self.schedule_resume(di, lt, at);
                 }
             }
         }
     }
 
+    /// Schedule a ThreadResume marker for local thread `lt` of machine `di`.
+    fn schedule_resume(&mut self, di: usize, lt: usize, at: Time) {
+        let d = &mut self.states[di];
+        d.resume_scheduled[lt] = true;
+        let origin = d.next_origin();
+        self.heap.push(HeapEv {
+            time: at,
+            origin,
+            kind: HeapKind::ThreadResume(d.thread_ids[lt]),
+        });
+    }
+
     /// Deliver a closed batch at `at` (>= the current dispatch instant).
     /// Single-message batches degrade to a plain `Message` so receivers
     /// and traces can't tell a lone coalesced message from an unbatched
-    /// one. Batched links are machine-local, so delivery is a local push.
+    /// one. Batched links are machine-local.
     fn deliver_batch(&mut self, di: usize, src: ProcId, dst: ProcId, msgs: Vec<M>, at: Time) {
-        let d = &mut self.domains[di];
         if msgs.len() == 1 {
             let msg = msgs.into_iter().next().unwrap();
-            d.push(at, dst, Event::Message { from: src, msg });
+            self.push(di, at, dst, Event::Message { from: src, msg });
         } else {
-            d.batch_stats.batched_msgs += msgs.len() as u64;
-            d.batch_stats.batch_deliveries += 1;
-            d.push(at, dst, Event::Batch { from: src, msgs });
+            self.batch_stats.batched_msgs += msgs.len() as u64;
+            self.batch_stats.batch_deliveries += 1;
+            self.push(di, at, dst, Event::Batch { from: src, msgs });
         }
     }
 
@@ -159,17 +127,16 @@ impl<'a, M: 'static> Kernel<'a, M> {
         now: Time,
     ) {
         let key = (src, dst);
-        let batch_max = self.batch_max;
-        let d = &mut self.domains[di];
+        let d = &mut self.states[di];
         match d.batches.get_mut(&key) {
             Some(b) if at <= b.flush_at => {
                 b.msgs.push(msg);
                 b.ready_at = b.ready_at.max(at);
-                if b.msgs.len() >= batch_max {
+                if b.msgs.len() >= self.batch_max {
                     // Depth flush: deliver now-complete batch at its
                     // ready time; the scheduled FlushBatch goes stale.
                     let b = d.batches.remove(&key).unwrap();
-                    d.batch_stats.flush_depth += 1;
+                    self.batch_stats.flush_depth += 1;
                     let at = b.ready_at.max(now);
                     self.deliver_batch(di, src, dst, b.msgs, at);
                 }
@@ -178,7 +145,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
                 // The new message lands past the horizon: close the old
                 // batch (its flush event goes stale) and open a new one.
                 let old = d.batches.remove(&key).unwrap();
-                d.batch_stats.flush_close += 1;
+                self.batch_stats.flush_close += 1;
                 let old_at = old.ready_at.max(now);
                 self.deliver_batch(di, src, dst, old.msgs, old_at);
                 self.open_batch(di, key, msg, at);
@@ -188,7 +155,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
     }
 
     fn open_batch(&mut self, di: usize, key: (ProcId, ProcId), msg: M, at: Time) {
-        let d = &mut self.domains[di];
+        let d = &mut self.states[di];
         d.batch_epoch += 1;
         let epoch = d.batch_epoch;
         let flush_at = at + self.batch_ns;
@@ -202,7 +169,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
             },
         );
         let origin = d.next_origin();
-        d.heap.push(HeapEv {
+        self.heap.push(HeapEv {
             time: flush_at,
             origin,
             kind: HeapKind::FlushBatch {
@@ -213,13 +180,34 @@ impl<'a, M: 'static> Kernel<'a, M> {
         });
     }
 
+    /// Register a live process pinned to `thread` under `pid`.
+    pub(super) fn insert_proc(
+        &mut self,
+        pid: ProcId,
+        thread: HwThreadId,
+        proc: Box<dyn Process<M>>,
+    ) {
+        let name = proc.name();
+        self.spawns += 1;
+        self.states[machine_of_pid(pid) as usize].procs.insert(
+            pid,
+            ProcSlot {
+                proc: Some(proc),
+                thread,
+                name,
+                alive: true,
+            },
+        );
+    }
+
     /// Run one handler on a free local thread at `time`
     /// (>= thread.busy_until).
     fn execute(&mut self, di: usize, lt: usize, dst: ProcId, ev: Event<M>, time: Time) {
-        let d = &mut self.domains[di];
+        let tracing = neat_obs::tracing();
+        let d = &mut self.states[di];
         // Tracing hook: name the span before the event is consumed. Guarded
         // so the disabled path pays one bool read, no format.
-        let span_name = if self.tracing {
+        let span_name = if tracing {
             let pname = d.procs.get(&dst).map(|s| s.name.as_str()).unwrap_or("?");
             Some(format!("{pname} [{}]", ev.label()))
         } else {
@@ -244,7 +232,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
         // SMT contention: slowdown scales with the sibling thread's recent
         // utilization — two saturated siblings each run at SMT_CAPACITY/2
         // of a dedicated core's speed. Siblings share a core, so the
-        // lookup is domain-local by construction.
+        // sibling is on this machine.
         let smt_slow = match d.threads[lt].sibling {
             Some(sib) if kind == ThreadKind::Cpu => {
                 let sl = self.topo.loc(sib).idx as usize;
@@ -261,7 +249,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
 
         let mut ctx = Ctx {
             dom: d,
-            topo: self.topo,
+            topo: &self.topo,
             batching: self.batch_ns.as_nanos() > 0,
             sender_kind: kind,
             self_id: dst,
@@ -294,7 +282,7 @@ impl<'a, M: 'static> Kernel<'a, M> {
             ThreadKind::Device => Time(charged_ns + freq.cycles_to_time(charged).as_nanos()),
         };
         let end = start + work;
-        let d = &mut self.domains[di];
+        let d = &mut self.states[di];
         {
             let th = &mut d.threads[lt];
             th.stats.smt_slow_sum += smt_slow;
@@ -311,7 +299,6 @@ impl<'a, M: 'static> Kernel<'a, M> {
         }
 
         // --- Apply outputs at completion time.
-        let src_dom = d.dom;
         for out in outputs {
             match out {
                 Output::Send {
@@ -320,34 +307,20 @@ impl<'a, M: 'static> Kernel<'a, M> {
                     extra_delay,
                 } => {
                     let at = end + calibration::CHANNEL_LATENCY + extra_delay;
-                    let to_dom = domain_of_pid(to);
-                    if to_dom == src_dom {
-                        // Only latency-free local sends coalesce; anything
-                        // with explicit wire/propagation delay keeps its
-                        // own event.
-                        if self.batch_ns.as_nanos() > 0 && extra_delay.as_nanos() == 0 {
-                            self.enqueue_batched(di, dst, to, msg, at, time);
-                        } else {
-                            let origin = self.domains[di].next_origin();
-                            self.route(to_dom, at, origin, to, Event::Message { from: dst, msg });
-                        }
+                    // Only latency-free machine-local sends coalesce;
+                    // anything with explicit wire/propagation delay keeps
+                    // its own event.
+                    if self.batch_ns.as_nanos() > 0
+                        && extra_delay.as_nanos() == 0
+                        && machine_of_pid(to) as usize == di
+                    {
+                        self.enqueue_batched(di, dst, to, msg, at, time);
                     } else {
-                        // Cross-machine: the topology promised at least
-                        // `link_latency` of wire delay — the conservative
-                        // lookahead the parallel executor relies on.
-                        assert!(
-                            extra_delay >= self.link_latency,
-                            "cross-machine send {dst:?}->{to:?} carries {}ns extra delay, \
-                             below the declared link latency of {}ns",
-                            extra_delay.as_nanos(),
-                            self.link_latency.as_nanos()
-                        );
-                        let origin = self.domains[di].next_origin();
-                        self.route(to_dom, at, origin, to, Event::Message { from: dst, msg });
+                        self.push(di, at, to, Event::Message { from: dst, msg });
                     }
                 }
                 Output::Timer { delay, token } => {
-                    self.domains[di].push(end + delay, dst, Event::Timer { token });
+                    self.push(di, end + delay, dst, Event::Timer { token });
                 }
                 Output::Spawn {
                     pid,
@@ -356,19 +329,8 @@ impl<'a, M: 'static> Kernel<'a, M> {
                     delay,
                 } => {
                     // Ctx::spawn asserted thread is on this machine.
-                    let d = &mut self.domains[di];
-                    let name = proc.name();
-                    d.spawns += 1;
-                    d.procs.insert(
-                        pid,
-                        ProcSlot {
-                            proc: Some(proc),
-                            thread,
-                            name,
-                            alive: true,
-                        },
-                    );
-                    d.push(end + delay, pid, Event::Start);
+                    self.insert_proc(pid, thread, proc);
+                    self.push(di, end + delay, pid, Event::Start);
                 }
                 Output::Kill { pid, crash } => {
                     let mode = if crash { DieMode::Crash } else { DieMode::Exit };
@@ -377,32 +339,18 @@ impl<'a, M: 'static> Kernel<'a, M> {
             }
         }
 
-        // --- Self-termination or put the process back.
-        match die {
-            Some(mode) => {
-                // Put the (now doomed) process back so reap can drop it.
-                if let Some(slot) = self.domains[di].procs.get_mut(&dst) {
-                    slot.proc = Some(proc);
-                }
-                self.reap(dst, mode, end);
-            }
-            None => {
-                if let Some(slot) = self.domains[di].procs.get_mut(&dst) {
-                    slot.proc = Some(proc);
-                }
-            }
+        // --- Put the process back (a doomed one too, so reap can drop it).
+        if let Some(slot) = self.states[di].procs.get_mut(&dst) {
+            slot.proc = Some(proc);
+        }
+        if let Some(mode) = die {
+            self.reap(dst, mode, end);
         }
     }
 
     fn reap(&mut self, pid: ProcId, mode: DieMode, at: Time) {
-        let dom = domain_of_pid(pid);
-        let Some(p) = self.pos(dom) else {
-            panic!(
-                "kill of {pid:?} crosses a shard boundary; process management \
-                 is machine-local under run_sharded"
-            );
-        };
-        let d = &mut self.domains[p];
+        let p = machine_of_pid(pid) as usize;
+        let d = &mut self.states[p];
         let (name, thread) = match d.procs.get_mut(&pid) {
             Some(slot) if slot.alive => {
                 slot.alive = false;
@@ -412,10 +360,10 @@ impl<'a, M: 'static> Kernel<'a, M> {
             _ => return,
         };
         match mode {
-            DieMode::Crash => d.crashes += 1,
-            DieMode::Exit => d.exits += 1,
+            DieMode::Crash => self.crashes += 1,
+            DieMode::Exit => self.exits += 1,
         }
-        if self.tracing {
+        if neat_obs::tracing() {
             let what = match mode {
                 DieMode::Crash => "crash",
                 DieMode::Exit => "exit",
@@ -428,16 +376,15 @@ impl<'a, M: 'static> Kernel<'a, M> {
             );
         }
         if mode == DieMode::Crash {
-            if let Some((monitor, hook)) = self.crash_monitor {
+            if let Some((monitor, hook)) = &self.crash_monitor {
                 let msg = hook(pid, &name);
                 let monitor = *monitor;
                 // Crash detection latency: the kernel notices the fault and
-                // notifies the monitor (one exception + IPC round).
-                let origin = self.domains[p].next_origin();
-                self.route(
-                    domain_of_pid(monitor),
+                // notifies the monitor (one exception + IPC round). Keyed by
+                // the dead process's machine.
+                self.push(
+                    p,
                     at + calibration::CRASH_NOTIFY_LATENCY,
-                    origin,
                     monitor,
                     Event::Message {
                         from: ProcId(0),

@@ -355,3 +355,190 @@ fn smt_sibling_slows_execution() {
         "SMT contention should slow the thread: solo={solo_busy} paired={paired_busy}"
     );
 }
+
+/// Message type of the multi-machine golden-order test.
+#[derive(Debug)]
+enum RingMsg {
+    /// Ring traffic between machines; payload = remaining hops.
+    Ping(u64),
+    /// Machine-local traffic to a sink.
+    Token(u64),
+}
+
+/// Dispatch-order log shared by every process: `(now ns, pid, payload)`.
+type RingLog = std::rc::Rc<std::cell::RefCell<Vec<(u64, u64, u64)>>>;
+
+const RING_LINK_NS: u64 = 800;
+
+/// Pings the worker on the next machine over a wire-delayed link, feeds
+/// tokens to its machine-local sink, burns RNG-dependent work and re-arms
+/// a timer.
+struct RingWorker {
+    peer: ProcId,
+    sink: ProcId,
+    log: RingLog,
+    timers_left: u64,
+}
+
+impl Process<RingMsg> for RingWorker {
+    fn name(&self) -> String {
+        "worker".into()
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_, RingMsg>, ev: Event<RingMsg>) {
+        match ev {
+            Event::Start => {
+                ctx.set_timer(Time::from_micros(5), 1);
+                ctx.send_delayed(self.peer, RingMsg::Ping(40), Time(RING_LINK_NS));
+            }
+            Event::Message {
+                msg: RingMsg::Ping(v),
+                ..
+            } => {
+                self.log
+                    .borrow_mut()
+                    .push((ctx.now().as_nanos(), ctx.self_id.0, v));
+                // Per-machine stream: a draw leaking across machines would
+                // move every later charge.
+                let cost = ctx.rng().gen_range(500u64..5_000);
+                ctx.charge(cost);
+                ctx.send(self.sink, RingMsg::Token(v));
+                if v > 0 {
+                    ctx.send_delayed(self.peer, RingMsg::Ping(v - 1), Time(RING_LINK_NS));
+                }
+            }
+            Event::Timer { .. } => {
+                ctx.send(self.sink, RingMsg::Token(1_000 + self.timers_left));
+                if self.timers_left > 0 {
+                    self.timers_left -= 1;
+                    ctx.set_timer(Time::from_micros(5), 1);
+                }
+            }
+            _ => {}
+        }
+    }
+}
+
+/// Logs every token it receives; crashes on `crash_on` if set.
+struct RingSink {
+    log: RingLog,
+    crash_on: Option<u64>,
+}
+
+impl Process<RingMsg> for RingSink {
+    fn name(&self) -> String {
+        "sink".into()
+    }
+    fn on_event(&mut self, ctx: &mut Ctx<'_, RingMsg>, ev: Event<RingMsg>) {
+        if let Event::Message {
+            msg: RingMsg::Token(v),
+            ..
+        } = ev
+        {
+            self.log
+                .borrow_mut()
+                .push((ctx.now().as_nanos(), ctx.self_id.0, v));
+            if self.crash_on == Some(v) {
+                ctx.crash_self();
+            }
+        }
+    }
+}
+
+/// Runs an `n`-machine ring for 2 ms: equal-time ties across machines at
+/// start, cross-machine sends with wire delay, per-machine RNG draws, and
+/// a crash on the last machine reported to a monitor on the first.
+/// Returns `(events dispatched, (busy ns, events) per active thread, FNV-1a
+/// hash of the dispatch-order log)`.
+fn run_ring(n: usize, batch_ns: u64) -> (u64, Vec<(u64, u64)>, u64) {
+    let mut sim = Sim::new(SimConfig {
+        seed: 0xDE7E_4213,
+        batch_ns,
+        ..SimConfig::default()
+    });
+    let log: RingLog = Default::default();
+    let machines: Vec<_> = (0..n)
+        .map(|_| sim.add_machine(MachineSpec::amd_opteron_6168()))
+        .collect();
+    let sinks: Vec<ProcId> = machines
+        .iter()
+        .enumerate()
+        .map(|(i, &m)| {
+            let crash_on = (i == n - 1).then_some(20);
+            let sink = RingSink {
+                log: log.clone(),
+                crash_on,
+            };
+            sim.spawn(sim.hw_thread(m, 1, 0), Box::new(sink))
+        })
+        .collect();
+    sim.set_crash_monitor(sinks[0], |pid, _| RingMsg::Token(7_000_000 + (pid.0 >> 40)));
+    for (i, &m) in machines.iter().enumerate() {
+        // Workers are the second pid of each machine: `(machine+1)<<40 | 2`.
+        let next = machines[(i + 1) % n];
+        let worker = RingWorker {
+            peer: ProcId(((next.0 as u64 + 1) << 40) | 2),
+            sink: sinks[i],
+            log: log.clone(),
+            timers_left: 20,
+        };
+        sim.spawn(sim.hw_thread(m, 0, 0), Box::new(worker));
+    }
+    let dispatched = sim.run_until(Time::from_millis(2));
+    let busy = (0..sim.num_hw_threads())
+        .map(|t| sim.thread_stats(HwThreadId(t)))
+        .filter(|st| st.events > 0)
+        .map(|st| (st.busy_ns, st.events))
+        .collect();
+    let mut hash = 0xcbf2_9ce4_8422_2325u64;
+    for &(t, pid, v) in log.borrow().iter() {
+        for b in [t, pid, v].iter().flat_map(|x| x.to_le_bytes()) {
+            hash = (hash ^ b as u64).wrapping_mul(0x100_0000_01b3);
+        }
+    }
+    (dispatched, busy, hash)
+}
+
+// The constants below were recorded from the engine before its per-machine
+// heaps were merged into one; any change to dispatch order, RNG streams,
+// pid allocation or the cost model moves them.
+
+#[test]
+fn ring_dispatch_order_is_golden() {
+    let (dispatched, busy, hash) = run_ring(4, 0);
+    assert_eq!(dispatched, 666);
+    assert_eq!(
+        busy,
+        [
+            (82693, 63),
+            (3392, 64),
+            (85398, 63),
+            (3339, 63),
+            (82918, 63),
+            (3339, 63),
+            (85668, 63),
+            (1643, 31),
+        ]
+    );
+    assert_eq!(hash, 112092057057524131);
+}
+
+#[test]
+fn batched_ring_dispatch_order_is_golden() {
+    // Adds FlushBatch events, ThreadResume chains and epoch bookkeeping.
+    let (dispatched, busy, hash) = run_ring(4, 2_000);
+    assert_eq!(dispatched, 641);
+    assert_eq!(
+        busy,
+        [
+            (66317, 63),
+            (1749, 33),
+            (69087, 63),
+            (1749, 33),
+            (66639, 63),
+            (1908, 36),
+            (69261, 63),
+            (901, 17),
+        ]
+    );
+    assert_eq!(hash, 4460550273978610797);
+}

@@ -40,11 +40,7 @@ pub struct CcDecision {
 }
 
 /// The event-driven interface the socket's ACK and send paths consult.
-///
-/// `Send` so a whole [`TcpStack`](crate::TcpStack) can migrate to a shard
-/// worker thread (conn_scale's lane executor); every controller is plain
-/// data.
-pub trait CongestionControl: std::fmt::Debug + Send {
+pub trait CongestionControl: std::fmt::Debug {
     /// Which algorithm this controller implements.
     fn algo(&self) -> CongestionAlgo;
 

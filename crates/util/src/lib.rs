@@ -23,6 +23,8 @@
 //! always yields the same stream on every platform (no `HashMap` ordering,
 //! no OS entropy, no time-of-day anywhere in this crate).
 
+#![forbid(unsafe_code)]
+
 pub mod bench;
 pub mod check;
 pub mod hash;

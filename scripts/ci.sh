@@ -11,7 +11,6 @@
 #   scripts/ci.sh --tier1         # build + test + fmt + clippy only
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
-#   scripts/ci.sh --determinism   # sharded conn_scale byte-identical gate
 #
 # Every gate step runs through `run`, which checks the exit status
 # explicitly. `set -e` alone is not enough: POSIX disables it inside any
@@ -36,17 +35,15 @@ run() {
 
 TIER1=1
 TIER2=1
-DET=1
 case "${1:-}" in
-    --tier1) TIER2=0; DET=0 ;;
-    --tier2) TIER1=0; DET=0 ;;
-    --determinism) TIER1=0; TIER2=0 ;;
+    --tier1) TIER2=0 ;;
+    --tier2) TIER1=0 ;;
     "") ;;
-    *) echo "unknown argument: $1 (want --tier1, --tier2, or --determinism)" >&2; exit 2 ;;
+    *) echo "unknown argument: $1 (want --tier1 or --tier2)" >&2; exit 2 ;;
 esac
 
-# Tier 2 and the determinism gate need the release binaries; build them
-# if a tier-1 build from this or a cached run isn't already present.
+# Tier 2 needs the release binaries; build them if a tier-1 build from
+# this or a cached run isn't already present.
 ensure_release_build() {
     if [ ! -x target/release/run_all ]; then
         run cargo build --release --offline
@@ -100,9 +97,8 @@ if [ "$TIER2" = 1 ]; then
     ensure_release_build
 
     # Performance-regression gate: run the deterministic quick bench
-    # suite (which includes the 10k-client conn_scale smoke and the
-    # par_scale parallel-engine bench) and compare headline metrics
-    # against the committed baselines.
+    # suite (which includes the 10k-client conn_scale smoke) and compare
+    # headline metrics against the committed baselines.
     run ./target/release/run_all --quick
 
     run ./target/release/check_bench
@@ -124,45 +120,6 @@ if [ "$TIER2" = 1 ]; then
     echo "==> determinism gate passed"
 
     echo "==> tier2 passed"
-fi
-
-if [ "$DET" = 1 ]; then
-    ensure_release_build
-
-    # Parallel-determinism gate: the sharded conn_scale executor must
-    # produce the same bytes at every shard count — shard workers may
-    # only change wall-clock time, never the history.
-    echo "==> [determinism] conn_scale --shards 1/2/4 (byte-identical JSON)"
-    for s in 1 2 4; do
-        run env -u NEAT_SHARDS ./target/release/conn_scale --quick --shards "$s"
-        cp results/BENCH_conn_scale.json "results/.conn_scale_shards$s.json"
-    done
-    for s in 2 4; do
-        if ! cmp -s results/.conn_scale_shards1.json "results/.conn_scale_shards$s.json"; then
-            echo "PARALLEL DETERMINISM FAILURE: --shards $s differs from --shards 1:" >&2
-            diff results/.conn_scale_shards1.json "results/.conn_scale_shards$s.json" >&2 || true
-            exit 1
-        fi
-    done
-    rm -f results/.conn_scale_shards1.json results/.conn_scale_shards2.json results/.conn_scale_shards4.json
-
-    # Failover runs the core-stack testbed (serial engine — its message
-    # type is not Send), so this leg guards that its report is independent
-    # of the requested shard count and of anything else environmental.
-    echo "==> [determinism] failover --shards 1/2/4 (byte-identical JSON)"
-    for s in 1 2 4; do
-        run env -u NEAT_SHARDS ./target/release/failover --quick --shards "$s"
-        cp results/BENCH_failover.json "results/.failover_shards$s.json"
-    done
-    for s in 2 4; do
-        if ! cmp -s results/.failover_shards1.json "results/.failover_shards$s.json"; then
-            echo "DETERMINISM FAILURE: failover --shards $s differs from --shards 1:" >&2
-            diff results/.failover_shards1.json "results/.failover_shards$s.json" >&2 || true
-            exit 1
-        fi
-    done
-    rm -f results/.failover_shards1.json results/.failover_shards2.json results/.failover_shards4.json
-    echo "==> parallel determinism gate passed"
 fi
 
 echo "==> CI gate passed"

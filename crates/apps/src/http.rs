@@ -22,6 +22,31 @@ pub struct Response {
 #[derive(Debug, Default)]
 pub struct StreamParser {
     buf: Vec<u8>,
+    /// The head of the response at the front of `buf`, parsed once and
+    /// kept until its body is complete.
+    head: Option<ResponseHead>,
+}
+
+#[derive(Debug, Clone, Copy)]
+struct ResponseHead {
+    /// Offset of the body in `buf`.
+    end: usize,
+    status: u16,
+    content_length: usize,
+    keep_alive: bool,
+}
+
+/// `line` with `prefix` stripped, matched ASCII case-insensitively.
+fn strip_prefix_ci<'a>(line: &'a str, prefix: &str) -> Option<&'a str> {
+    let head = line.as_bytes().get(..prefix.len())?;
+    head.eq_ignore_ascii_case(prefix.as_bytes())
+        .then(|| &line[prefix.len()..])
+}
+
+fn contains_ci(line: &str, needle: &str) -> bool {
+    line.as_bytes()
+        .windows(needle.len())
+        .any(|w| w.eq_ignore_ascii_case(needle.as_bytes()))
 }
 
 impl StreamParser {
@@ -72,37 +97,51 @@ impl StreamParser {
 
     /// Pop the next complete response (requires `Content-Length`).
     pub fn next_response(&mut self) -> Option<Response> {
+        let head = match self.head {
+            Some(h) => h,
+            None => {
+                let h = self.parse_response_head()?;
+                self.head = Some(h);
+                h
+            }
+        };
+        let len = head.end + head.content_length;
+        if self.buf.len() < len {
+            return None; // body not complete yet
+        }
+        self.head = None;
+        let body = self.buf[head.end..len].to_vec();
+        self.buf.drain(..len);
+        Some(Response {
+            status: head.status,
+            body,
+            keep_alive: head.keep_alive,
+        })
+    }
+
+    fn parse_response_head(&self) -> Option<ResponseHead> {
         let end = self.find_headers_end()?;
-        let head = String::from_utf8_lossy(&self.buf[..end]).to_string();
-        let mut content_length = 0usize;
-        let mut status = 0u16;
-        let mut keep_alive = true;
+        let head = String::from_utf8_lossy(&self.buf[..end]);
+        let mut h = ResponseHead {
+            end,
+            status: 0,
+            content_length: 0,
+            keep_alive: true,
+        };
         for (i, l) in head.lines().enumerate() {
             if i == 0 {
-                status = l
+                h.status = l
                     .split_whitespace()
                     .nth(1)
                     .and_then(|s| s.parse().ok())
                     .unwrap_or(0);
-                continue;
-            }
-            let ll = l.to_ascii_lowercase();
-            if let Some(v) = ll.strip_prefix("content-length:") {
-                content_length = v.trim().parse().unwrap_or(0);
-            } else if ll.starts_with("connection:") {
-                keep_alive = ll.contains("keep-alive");
+            } else if let Some(v) = strip_prefix_ci(l, "content-length:") {
+                h.content_length = v.trim().parse().unwrap_or(0);
+            } else if strip_prefix_ci(l, "connection:").is_some() {
+                h.keep_alive = contains_ci(l, "keep-alive");
             }
         }
-        if self.buf.len() < end + content_length {
-            return None; // body not complete yet
-        }
-        let body = self.buf[end..end + content_length].to_vec();
-        self.buf.drain(..end + content_length);
-        Some(Response {
-            status,
-            body,
-            keep_alive,
-        })
+        Some(h)
     }
 }
 
@@ -197,6 +236,41 @@ mod tests {
         let r = p.next_response().unwrap();
         assert_eq!(r.body, b"hello world!");
         assert!(!r.keep_alive);
+    }
+
+    #[test]
+    fn response_read_a_few_bytes_at_a_time() {
+        let body: Vec<u8> = (0..5_000u32).map(|i| (i % 256) as u8).collect();
+        let mut stream = format_response(200, &body, true);
+        stream.extend_from_slice(&format_response(404, b"nope", false));
+        let mut p = StreamParser::new();
+        let mut got = Vec::new();
+        for chunk in stream.chunks(7) {
+            p.push(chunk);
+            while let Some(r) = p.next_response() {
+                got.push(r);
+            }
+        }
+        assert_eq!(got.len(), 2);
+        assert_eq!((got[0].status, got[0].keep_alive), (200, true));
+        assert_eq!(got[0].body, body);
+        assert_eq!((got[1].status, got[1].keep_alive), (404, false));
+        assert_eq!(got[1].body, b"nope");
+        assert_eq!(p.buffered(), 0);
+    }
+
+    #[test]
+    fn response_headers_match_case_insensitively() {
+        let mut p = StreamParser::new();
+        p.push(b"HTTP/1.1 200 OK\r\nCONTENT-LENGTH: 3\r\ncOnNeCtIoN: Close\r\n\r\nabc");
+        let r = p.next_response().unwrap();
+        assert_eq!(
+            (r.status, r.body.as_slice(), r.keep_alive),
+            (200, &b"abc"[..], false)
+        );
+        p.push(b"HTTP/1.1 204 No Content\r\nConnection: Keep-Alive\r\n\r\n");
+        let r = p.next_response().unwrap();
+        assert_eq!((r.status, r.body.len(), r.keep_alive), (204, 0, true));
     }
 
     #[test]

@@ -77,12 +77,27 @@ pub struct ClientMetrics {
     pub requests_on_error_conns: u64,
     pub conns_finished: u64,
     pub conns_opened: u64,
-    /// Order-sensitive FNV-1a fold of every byte the client application
-    /// read, in delivery order across all its connections. Two fixed-seed
-    /// runs that delivered byte-identical streams produce equal digests,
-    /// so failover tests can assert the recovered byte stream exactly
-    /// matches the uncrashed one.
+    /// Order-sensitive digest of every byte the client application read,
+    /// in delivery order across all its connections: 8-byte words folded
+    /// FNV-style (xor, then multiply by the FNV-1a prime), with a trailing
+    /// partial word folded in together with its length. It covers every
+    /// byte read so far, does not depend on how reads were chunked, and
+    /// stays 0 until the first byte. Two fixed-seed runs that delivered
+    /// byte-identical streams produce equal digests, so failover tests can
+    /// assert the recovered byte stream exactly matches the uncrashed one.
     pub rx_digest: u64,
+    /// Fold over the complete words read so far.
+    digest_words: u64,
+    /// Bytes read since the last complete word (`digest_tail_len` of them).
+    digest_tail: [u8; 8],
+    digest_tail_len: usize,
+}
+
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x100_0000_01b3;
+
+fn fold_word(h: u64, word: [u8; 8]) -> u64 {
+    (h ^ u64::from_le_bytes(word)).wrapping_mul(FNV_PRIME)
 }
 
 impl ClientMetrics {
@@ -91,16 +106,45 @@ impl ClientMetrics {
         self.completed.saturating_sub(self.requests_on_error_conns)
     }
 
-    fn digest_bytes(&mut self, data: &[u8]) {
-        let mut h = if self.rx_digest == 0 {
-            0xcbf2_9ce4_8422_2325 // FNV-1a offset basis
-        } else {
-            self.rx_digest
-        };
-        for &b in data {
-            h = (h ^ b as u64).wrapping_mul(0x100_0000_01b3);
+    fn digest_bytes(&mut self, mut data: &[u8]) {
+        if data.is_empty() {
+            return;
         }
-        self.rx_digest = h;
+        let mut h = if self.rx_digest == 0 {
+            FNV_OFFSET
+        } else {
+            self.digest_words
+        };
+        let t = self.digest_tail_len;
+        if t > 0 {
+            let n = (8 - t).min(data.len());
+            self.digest_tail[t..t + n].copy_from_slice(&data[..n]);
+            self.digest_tail_len += n;
+            data = &data[n..];
+            if self.digest_tail_len == 8 {
+                h = fold_word(h, self.digest_tail);
+                self.digest_tail_len = 0;
+            }
+        }
+        if !data.is_empty() {
+            let mut words = data.chunks_exact(8);
+            for w in &mut words {
+                h = fold_word(h, w.try_into().expect("8-byte chunk"));
+            }
+            let rest = words.remainder();
+            self.digest_tail[..rest.len()].copy_from_slice(rest);
+            self.digest_tail_len = rest.len();
+        }
+        self.digest_words = h;
+        let t = self.digest_tail_len;
+        self.rx_digest = if t == 0 {
+            h
+        } else {
+            let mut last = [0u8; 8];
+            last[..t].copy_from_slice(&self.digest_tail[..t]);
+            last[7] = t as u8;
+            fold_word(h, last)
+        };
     }
 }
 
@@ -506,5 +550,75 @@ mod tests {
         assert_eq!(m.conns_opened, 1);
         assert_eq!(m.conn_errors, 2);
         assert_eq!(neat_obs::counter("client.conn_errors").get(), 2);
+    }
+
+    fn digest_of(chunks: &[&[u8]]) -> u64 {
+        let mut m = ClientMetrics::default();
+        for c in chunks {
+            m.digest_bytes(c);
+        }
+        m.rx_digest
+    }
+
+    #[test]
+    fn digest_does_not_depend_on_read_chunking() {
+        let mut rng = neat_util::Rng::seed_from_u64(7);
+        let data: Vec<u8> = (0..1_000).map(|_| rng.gen::<u8>()).collect();
+        let whole = digest_of(&[&data]);
+        for _ in 0..200 {
+            let mut cuts: Vec<usize> = (0..rng.gen_range(1usize..12))
+                .map(|_| rng.gen_range(0..=data.len()))
+                .collect();
+            cuts.sort_unstable();
+            let mut chunks = Vec::new();
+            let mut at = 0;
+            for c in cuts.into_iter().chain([data.len()]) {
+                chunks.push(&data[at..c]); // empty chunks included
+                at = c;
+            }
+            assert_eq!(digest_of(&chunks), whole);
+        }
+        // Every prefix length, including partial last words.
+        let mut m = ClientMetrics::default();
+        for (i, b) in data[..40].iter().enumerate() {
+            m.digest_bytes(std::slice::from_ref(b));
+            assert_eq!(m.rx_digest, digest_of(&[&data[..=i]]), "prefix {}", i + 1);
+        }
+    }
+
+    #[test]
+    fn digest_is_zero_until_the_first_byte() {
+        let mut m = ClientMetrics::default();
+        assert_eq!(m.rx_digest, 0);
+        m.digest_bytes(&[]);
+        assert_eq!(m.rx_digest, 0);
+        m.digest_bytes(&[0]);
+        assert_ne!(m.rx_digest, 0, "a single zero byte is data received");
+    }
+
+    #[test]
+    fn digest_sees_flips_swaps_and_length() {
+        let data: Vec<u8> = (0..64u8).map(|i| i.wrapping_mul(37)).collect();
+        let base = digest_of(&[&data]);
+        for i in 0..data.len() {
+            let mut flipped = data.clone();
+            flipped[i] ^= 0x01;
+            assert_ne!(digest_of(&[&flipped]), base, "flip at {i}");
+            if i + 1 < data.len() && data[i] != data[i + 1] {
+                let mut swapped = data.clone();
+                swapped.swap(i, i + 1);
+                assert_ne!(digest_of(&[&swapped]), base, "swap at {i}");
+            }
+        }
+        // Trailing zero bytes still count.
+        for n in 1..16 {
+            let mut padded = data[..21].to_vec();
+            padded.resize(21 + n, 0);
+            assert_ne!(
+                digest_of(&[&padded]),
+                digest_of(&[&data[..21]]),
+                "+{n} zeros"
+            );
+        }
     }
 }

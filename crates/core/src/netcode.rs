@@ -6,9 +6,9 @@
 //! is pure protocol code — the owning process charges the CPU costs.
 
 use neat_net::arp::{ArpCache, ArpOp, ArpPacket};
-use neat_net::ethernet::{EtherType, EthernetFrame, MacAddr};
+use neat_net::ethernet::{EtherType, EthernetFrame, MacAddr, ETHERNET_HEADER_LEN};
 use neat_net::icmp::IcmpMessage;
-use neat_net::ipv4::{IpProtocol, Ipv4Header};
+use neat_net::ipv4::{IpProtocol, Ipv4Header, IPV4_HEADER_LEN};
 use neat_net::PktBuf;
 use std::collections::HashMap;
 use std::net::Ipv4Addr;
@@ -137,19 +137,24 @@ impl FrameIo {
     /// Encapsulate and queue an IP packet to `dst`, resolving the MAC via
     /// ARP (packets queue while a request is outstanding).
     pub fn send_ip(&mut self, dst: Ipv4Addr, protocol: IpProtocol, payload: &[u8], now_ns: u64) {
-        let pkt = Ipv4Header::new(self.ip, dst, protocol, payload.len()).emit(payload);
+        let ip = Ipv4Header::new(self.ip, dst, protocol, payload.len());
         match self.arp.lookup(dst, now_ns) {
             Some(mac) => {
-                let f = EthernetFrame {
+                // Both headers, then the payload: one copy into the frame.
+                let mut f =
+                    Vec::with_capacity(ETHERNET_HEADER_LEN + IPV4_HEADER_LEN + payload.len());
+                EthernetFrame {
                     dst: mac,
                     src: self.mac,
                     ethertype: EtherType::Ipv4,
                 }
-                .emit(&pkt);
+                .emit_header_into(&mut f);
+                ip.emit_header_into(payload.len(), &mut f);
+                f.extend_from_slice(payload);
                 self.out.push(PktBuf::from_vec(f));
             }
             None => {
-                self.pending.entry(dst).or_default().push(pkt);
+                self.pending.entry(dst).or_default().push(ip.emit(payload));
                 // Rate-limit ARP requests to one per second per target
                 // (smoltcp behaviour).
                 let due = self
@@ -250,6 +255,23 @@ mod tests {
         let (eth, _) = EthernetFrame::parse(&frames[0]).unwrap();
         assert_eq!(eth.dst, MacAddr::local(2));
         assert_eq!(eth.ethertype, EtherType::Ipv4);
+    }
+
+    #[test]
+    fn send_ip_frame_matches_per_layer_chain() {
+        let mut a = a();
+        a.seed_arp(B_IP, MacAddr::local(2));
+        for len in [0usize, 1, 7, 1460, 61_001] {
+            let payload: Vec<u8> = (0..len).map(|i| (i % 253) as u8).collect();
+            a.send_ip(B_IP, IpProtocol::Tcp, &payload, 0);
+            let want = EthernetFrame {
+                dst: MacAddr::local(2),
+                src: MacAddr::local(1),
+                ethertype: EtherType::Ipv4,
+            }
+            .emit(&Ipv4Header::new(A_IP, B_IP, IpProtocol::Tcp, len).emit(&payload));
+            assert_eq!(a.drain()[0].to_vec(), want, "len {len}");
+        }
     }
 
     #[test]

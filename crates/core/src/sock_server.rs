@@ -80,9 +80,19 @@ impl SockServer {
                 1
             }
             Msg::ConnSend { sock, data } => {
-                let q = self.backlog.entry(sock).or_default();
-                q.extend(data);
-                self.flush_backlog(sock);
+                if let Some(q) = self.backlog.get_mut(&sock) {
+                    q.extend(data);
+                    self.flush_backlog(sock);
+                } else {
+                    // Nothing queued: the stack copies straight out of the
+                    // message; only what it cannot take yet is kept.
+                    let n = self.push_to_stack(sock, &data);
+                    if n < data.len() {
+                        let mut rest = VecDeque::from(data);
+                        rest.drain(..n);
+                        self.backlog.insert(sock, rest);
+                    }
+                }
                 1
             }
             Msg::ConnClose { sock } => {
@@ -98,24 +108,30 @@ impl SockServer {
     }
 
     fn flush_backlog(&mut self, sock: SocketId) {
-        if let Some(q) = self.backlog.get_mut(&sock) {
-            while !q.is_empty() {
-                let chunk: Vec<u8> = q.iter().copied().take(16 * 1024).collect();
-                match self.stack.send(sock, &chunk) {
-                    Ok(n) => {
-                        q.drain(..n);
-                        if n == 0 {
-                            break;
-                        }
-                        *self.app_bytes.entry(sock).or_insert(0) += n as u64;
-                    }
-                    Err(_) => break,
-                }
-            }
-            if q.is_empty() {
-                self.backlog.remove(&sock);
+        if let Some(mut q) = self.backlog.remove(&sock) {
+            let n = self.push_to_stack(sock, q.make_contiguous());
+            q.drain(..n);
+            if !q.is_empty() {
+                self.backlog.insert(sock, q);
             }
         }
+    }
+
+    /// Hand `bytes` to the stack, 16 KiB per call, until its send buffer
+    /// is full; returns the bytes it accepted.
+    fn push_to_stack(&mut self, sock: SocketId, bytes: &[u8]) -> usize {
+        let mut off = 0;
+        while off < bytes.len() {
+            let end = (off + 16 * 1024).min(bytes.len());
+            match self.stack.send(sock, &bytes[off..end]) {
+                Ok(n) if n > 0 => {
+                    off += n;
+                    *self.app_bytes.entry(sock).or_insert(0) += n as u64;
+                }
+                _ => break,
+            }
+        }
+        off
     }
 
     /// Translate queued stack events into application messages. `me` is

@@ -265,10 +265,10 @@ impl SocketLib {
         let to = self.route_override.unwrap_or(conn.stack);
         let tx = self.tx.entry(fd).or_default();
         tx.sent_total += len as u64;
-        tx.tail.extend(data.iter().copied());
-        while tx.tail.len() > TX_TAIL_CAP {
-            tx.tail.pop_front();
-        }
+        // Only the last TX_TAIL_CAP bytes can survive the trim.
+        tx.tail.extend(&data[len.saturating_sub(TX_TAIL_CAP)..]);
+        let excess = tx.tail.len().saturating_sub(TX_TAIL_CAP);
+        tx.tail.drain(..excess);
         ctx.send(
             to,
             Msg::ConnSend {
@@ -454,7 +454,7 @@ impl SocketLib {
             Msg::ConnData { conn, data } => match self.fd_of.get(conn) {
                 Some(&fd) => {
                     let st = self.rx.entry(fd).or_default();
-                    st.buf.extend(data.iter().copied());
+                    st.buf.extend(data.iter());
                     vec![LibEvent::Readable { fd }]
                 }
                 None => vec![],
@@ -495,10 +495,10 @@ impl SocketLib {
                 if gap == 0 {
                     return vec![];
                 }
-                let tail_bytes = match self.tx.get(&fd) {
+                let tail_bytes = match self.tx.get_mut(&fd) {
                     Some(t) if gap as usize <= t.tail.len() => {
                         let skip = t.tail.len() - gap as usize;
-                        t.tail.iter().skip(skip).copied().collect::<Vec<u8>>()
+                        t.tail.make_contiguous()[skip..].to_vec()
                     }
                     _ => {
                         // The gap outruns the retained tail: the stream

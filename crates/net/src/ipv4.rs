@@ -113,8 +113,17 @@ impl Ipv4Header {
 
     /// Emit the header (with checksum) followed by `payload`.
     pub fn emit(&self, payload: &[u8]) -> Vec<u8> {
-        let total = IPV4_HEADER_LEN + payload.len();
-        let mut b = vec![0u8; IPV4_HEADER_LEN];
+        let mut b = Vec::with_capacity(IPV4_HEADER_LEN + payload.len());
+        self.emit_header_into(payload.len(), &mut b);
+        b.extend_from_slice(payload);
+        b
+    }
+
+    /// Append the 20-byte header (with checksum) of a packet carrying
+    /// `payload_len` bytes; the caller appends the payload after it.
+    pub fn emit_header_into(&self, payload_len: usize, out: &mut Vec<u8>) {
+        let total = IPV4_HEADER_LEN + payload_len;
+        let mut b = [0u8; IPV4_HEADER_LEN];
         b[0] = 0x45; // version 4, IHL 5
         set_u16(&mut b, 2, total as u16);
         set_u16(&mut b, 4, self.ident);
@@ -132,8 +141,7 @@ impl Ipv4Header {
         b[16..20].copy_from_slice(&self.dst.octets());
         let c = checksum::checksum(&b);
         set_u16(&mut b, 10, c);
-        b.extend_from_slice(payload);
-        b
+        out.extend_from_slice(&b);
     }
 }
 

@@ -38,6 +38,12 @@ pub struct Steering {
     pub track_flows: bool,
     /// Idle tracking filters older than this are reclaimable.
     filter_idle_ns: u64,
+    /// No filter can be reclaimable before this instant: a lower bound on
+    /// every filter's last-seen + idle, so a full table skips the sweep
+    /// until something can actually have expired. Refreshing a filter
+    /// only moves its last-seen forward (the NIC's clock is monotonic),
+    /// so only new entries can lower the bound.
+    next_expiry: u64,
     num_queues: usize,
     /// Which queues currently accept *new* flows (termination-state
     /// replicas are excluded here per §3.4's lazy scale-down).
@@ -52,6 +58,7 @@ impl Steering {
             max_filters: 8_192,
             track_flows: true,
             filter_idle_ns: 10_000_000_000,
+            next_expiry: u64::MAX,
             num_queues,
             accepting: vec![true; num_queues],
         }
@@ -145,17 +152,33 @@ impl Steering {
         }
         let q = self.hash_accepting(&flow.key);
         if self.track_flows && flow.is_syn {
-            if self.filters.len() >= self.max_filters {
+            if self.filters.len() >= self.max_filters && now_ns >= self.next_expiry {
                 // Reclaim idle entries (connections long gone).
                 let idle = self.filter_idle_ns;
-                self.filters
-                    .retain(|_, (_, seen)| now_ns.saturating_sub(*seen) < idle);
+                let mut next = u64::MAX;
+                self.filters.retain(|_, (_, seen)| {
+                    let keep = now_ns.saturating_sub(*seen) < idle;
+                    if keep {
+                        next = next.min(seen.saturating_add(idle));
+                    }
+                    keep
+                });
+                self.next_expiry = next;
             }
             if self.filters.len() < self.max_filters {
                 self.filters.insert(flow.key, (q, now_ns));
+                self.note_seen(now_ns);
             }
         }
         q
+    }
+
+    /// A filter was installed with last-seen `seen`: keep `next_expiry` a
+    /// lower bound of every filter's expiry.
+    fn note_seen(&mut self, seen: u64) {
+        self.next_expiry = self
+            .next_expiry
+            .min(seen.saturating_add(self.filter_idle_ns));
     }
 
     /// Install an exact-match filter (software-configured, like the real
@@ -165,6 +188,7 @@ impl Steering {
             return false;
         }
         self.filters.insert(key, (queue, 0));
+        self.note_seen(0);
         true
     }
 
@@ -306,6 +330,73 @@ mod tests {
         }
         assert!(!s.add_filter(FlowKey::tcp(SRC, 2000, DST, 80), 0));
         assert_eq!(s.filter_count(), 4);
+    }
+
+    /// A full table skips the idle sweep until a filter can have expired,
+    /// and steers every frame exactly as a table that sweeps on every new
+    /// flow's SYN (a `Steering` whose expiry bound is reset to 0 before
+    /// each frame).
+    #[test]
+    fn full_table_matches_sweeping_table() {
+        let mut fast = Steering::new(4);
+        let mut sweeping = Steering::new(4);
+        for s in [&mut fast, &mut sweeping] {
+            s.max_filters = 64;
+            s.filter_idle_ns = 1_000;
+            // A software filter starts at last-seen 0.
+            s.add_filter(FlowKey::tcp(SRC, 7, DST, 80), 3);
+        }
+        let mut port = 1024u16;
+        for step in 0..2_000u64 {
+            let now = step * 7;
+            let frame = match step % 7 {
+                // Refresh an older flow; some of them are long gone.
+                3 => tcp_frame(1025 + (step % 90) as u16, TcpFlags::ack()),
+                5 if step % 3 == 0 => tcp_frame(1025 + (step % 70) as u16, TcpFlags::rst()),
+                _ => {
+                    port += 1;
+                    tcp_frame(port, TcpFlags::SYN)
+                }
+            };
+            if step % 97 == 0 {
+                // A software filter mid-run: last-seen 0, so it is
+                // reclaimable at the next sweep.
+                let key = FlowKey::tcp(SRC, 60_000 + step as u16, DST, 80);
+                assert_eq!(fast.add_filter(key, 1), sweeping.add_filter(key, 1));
+            }
+            sweeping.next_expiry = 0;
+            let q = fast.classify_track(&frame, now);
+            assert_eq!(q, sweeping.classify_track(&frame, now), "step {step}");
+            assert_eq!(fast.filter_count(), sweeping.filter_count(), "step {step}");
+            assert_eq!(fast.filters, sweeping.filters, "step {step}");
+        }
+        assert_eq!(fast.filter_count(), 64, "the table stays full");
+    }
+
+    #[test]
+    fn filter_aged_past_idle_is_reclaimed() {
+        let mut s = Steering::new(2);
+        s.max_filters = 4;
+        s.filter_idle_ns = 1_000;
+        for p in 0..4u16 {
+            s.classify_track(&tcp_frame(2000 + p, TcpFlags::SYN), 100 * p as u64);
+        }
+        assert_eq!(s.filter_count(), 4);
+        // Full, nothing idle yet: the new flow is steered but not pinned.
+        let late = tcp_frame(3000, TcpFlags::SYN);
+        s.classify_track(&late, 999);
+        assert_eq!(s.filter_count(), 4);
+        assert!(s.next_expiry > 999, "no sweep before the first expiry");
+        // The first filter (last seen at 0) is idle at 1000.
+        s.classify_track(&late, 1_000);
+        let first = Steering::parse_flow(&tcp_frame(2000, TcpFlags::SYN))
+            .unwrap()
+            .key;
+        let late_key = Steering::parse_flow(&late).unwrap().key;
+        assert!(!s.filters.contains_key(&first), "idle filter reclaimed");
+        assert!(s.filters.contains_key(&late_key), "new flow pinned");
+        assert_eq!(s.filter_count(), 4);
+        assert_eq!(s.next_expiry, 1_100, "next expiry: the flow seen at 100");
     }
 
     #[test]

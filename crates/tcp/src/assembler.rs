@@ -30,6 +30,11 @@ impl Assembler {
         self.buffered
     }
 
+    /// Maximum bytes this assembler may hold.
+    pub(crate) fn cap(&self) -> usize {
+        self.cap
+    }
+
     /// Resize the capacity (`SockOpt::RecvBuf` tracks the receive buffer).
     /// Clamped to what is already buffered; held runs are never dropped.
     pub fn set_cap(&mut self, cap: usize) {

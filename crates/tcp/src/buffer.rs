@@ -7,6 +7,7 @@
 
 use neat_net::SeqNum;
 use std::collections::VecDeque;
+use std::ops::Range;
 
 /// Bytes between `snd.una` and the end of the user-enqueued stream.
 #[derive(Debug)]
@@ -75,7 +76,7 @@ impl SendBuffer {
         }
         let off = off as usize;
         let end = (off + len).min(self.data.len());
-        self.data.range(off..end).copied().collect()
+        copy_out(&self.data, off..end)
     }
 
     /// Allocated heap bytes (capacity, not configured cap) — the number
@@ -96,7 +97,7 @@ impl SendBuffer {
 
     /// Copy of every buffered byte, base first (checkpoint capture).
     pub fn contents(&self) -> Vec<u8> {
-        self.data.iter().copied().collect()
+        copy_out(&self.data, 0..self.data.len())
     }
 
     /// Rebuild a buffer from a checkpoint. `cap` is widened to fit the
@@ -136,9 +137,10 @@ impl RecvBuffer {
     /// Move up to `buf.len()` bytes out to the application.
     pub fn read(&mut self, buf: &mut [u8]) -> usize {
         let n = buf.len().min(self.data.len());
-        for (i, b) in self.data.drain(..n).enumerate() {
-            buf[i] = b;
-        }
+        let (a, b) = slices(&self.data, 0..n);
+        buf[..a.len()].copy_from_slice(a);
+        buf[a.len()..n].copy_from_slice(b);
+        self.data.drain(..n);
         n
     }
 
@@ -174,7 +176,7 @@ impl RecvBuffer {
 
     /// Copy of every buffered byte (checkpoint capture).
     pub fn contents(&self) -> Vec<u8> {
-        self.data.iter().copied().collect()
+        copy_out(&self.data, 0..self.data.len())
     }
 
     /// Rebuild a buffer from a checkpoint (cap widened to fit).
@@ -184,6 +186,28 @@ impl RecvBuffer {
             data: data.into(),
         }
     }
+}
+
+/// `data[range]` as the (at most) two contiguous slices either side of
+/// the ring's wrap point.
+fn slices(data: &VecDeque<u8>, range: Range<usize>) -> (&[u8], &[u8]) {
+    let (head, tail) = data.as_slices();
+    if range.end <= head.len() {
+        (&head[range], &[])
+    } else if range.start >= head.len() {
+        (&tail[range.start - head.len()..range.end - head.len()], &[])
+    } else {
+        (&head[range.start..], &tail[..range.end - head.len()])
+    }
+}
+
+/// `data[range]` as a fresh `Vec`, copied slice by slice.
+fn copy_out(data: &VecDeque<u8>, range: Range<usize>) -> Vec<u8> {
+    let (a, b) = slices(data, range);
+    let mut out = Vec::with_capacity(a.len() + b.len());
+    out.extend_from_slice(a);
+    out.extend_from_slice(b);
+    out
 }
 
 #[cfg(test)]

@@ -119,9 +119,19 @@ impl TcpSocket {
         if payload.is_empty() || !self.cm.state.can_recv() {
             return;
         }
-        let inserted = self.fc.asm.insert(h.seq, payload, self.fc.rcv_nxt);
-        if inserted {
-            let mut delivered = false;
+        let mut delivered = false;
+        if self.fc.asm.is_empty() && h.seq - self.fc.rcv_nxt <= 0 {
+            // In order with nothing held: the new bytes go straight into
+            // the receive buffer. Same rules as through the assembler: an
+            // old prefix is trimmed, a segment longer than the assembler
+            // cap is dropped, and a full receive buffer drops the tail.
+            let old = (self.fc.rcv_nxt - h.seq) as usize;
+            if old < payload.len() && payload.len() - old <= self.fc.asm.cap() {
+                let n = self.fc.recv_buf.write(&payload[old..]);
+                self.fc.rcv_nxt += n as u32;
+                delivered = n > 0;
+            }
+        } else if self.fc.asm.insert(h.seq, payload, self.fc.rcv_nxt) {
             while let Some(run) = self.fc.asm.take_contiguous(self.fc.rcv_nxt) {
                 let n = self.fc.recv_buf.write(&run);
                 self.fc.rcv_nxt += n as u32;
@@ -132,9 +142,9 @@ impl TcpSocket {
                     break;
                 }
             }
-            if delivered {
-                self.events.push(SockEvent::Readable(self.id));
-            }
+        }
+        if delivered {
+            self.events.push(SockEvent::Readable(self.id));
         }
         // ACK policy: every second segment, else delayed.
         self.fc.ack_pending += 1;

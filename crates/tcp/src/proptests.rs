@@ -98,6 +98,140 @@ fn recv_buffer_fifo() {
     );
 }
 
+/// Both stream buffers against a plain `Vec<u8>` model under random
+/// `push`/`peek`/`ack_to`/`write`/`read`/`contents` sequences. Small caps
+/// make the ring wrap often; bases just below 2^32 make `SeqNum` wrap.
+#[test]
+fn stream_buffers_match_vec_model() {
+    const SEND_CAP: usize = 61;
+    const RECV_CAP: usize = 53;
+    check(
+        "stream_buffers_match_vec_model",
+        Config::default().cases(256),
+        |rng| {
+            (
+                rng.gen_range(0u32..200),
+                vec_of(rng, 1..150, |r| {
+                    (
+                        r.gen_range(0u8..7),
+                        r.gen_range(0usize..80),
+                        r.gen_range(0usize..80),
+                    )
+                }),
+            )
+        },
+        |(below_wrap, ops)| {
+            let mut base = SeqNum(u32::MAX - below_wrap);
+            let mut sb = SendBuffer::new(base, SEND_CAP);
+            let mut rb = RecvBuffer::new(RECV_CAP);
+            let (mut smodel, mut rmodel) = (Vec::<u8>::new(), Vec::<u8>::new());
+            let mut next = 0u8;
+            let mut fresh = |n: usize| -> Vec<u8> {
+                (0..n)
+                    .map(|_| {
+                        next = next.wrapping_add(1);
+                        next
+                    })
+                    .collect()
+            };
+            for (op, a, b) in ops {
+                match op {
+                    0 => {
+                        let data = fresh(a);
+                        let n = sb.push(&data);
+                        prop_assert_eq!(n, a.min(SEND_CAP - smodel.len()));
+                        smodel.extend_from_slice(&data[..n]);
+                    }
+                    1 => {
+                        let want = if a < smodel.len() {
+                            smodel[a..(a + b).min(smodel.len())].to_vec()
+                        } else {
+                            Vec::new()
+                        };
+                        prop_assert_eq!(sb.peek(base + a as u32, b), want);
+                        // Before the base: nothing.
+                        prop_assert!(sb
+                            .peek(SeqNum(base.0.wrapping_sub(a as u32 + 1)), b)
+                            .is_empty());
+                    }
+                    2 => {
+                        let k = a.min(smodel.len());
+                        prop_assert_eq!(sb.ack_to(base + a as u32), k);
+                        smodel.drain(..k);
+                        base += k as u32;
+                        // An old ACK is a no-op.
+                        prop_assert_eq!(sb.ack_to(SeqNum(base.0.wrapping_sub(b as u32))), 0);
+                    }
+                    3 => {
+                        let data = fresh(a);
+                        let n = rb.write(&data);
+                        prop_assert_eq!(n, a.min(RECV_CAP - rmodel.len()));
+                        rmodel.extend_from_slice(&data[..n]);
+                    }
+                    4 => {
+                        let mut out = vec![0xAAu8; b];
+                        let n = rb.read(&mut out);
+                        prop_assert_eq!(n, b.min(rmodel.len()));
+                        prop_assert_eq!(&out[..n], &rmodel[..n]);
+                        prop_assert!(out[n..].iter().all(|&x| x == 0xAA));
+                        rmodel.drain(..n);
+                    }
+                    _ => {
+                        prop_assert_eq!(sb.contents(), smodel.clone());
+                        prop_assert_eq!(rb.contents(), rmodel.clone());
+                    }
+                }
+                prop_assert_eq!(sb.base(), base);
+                prop_assert_eq!(sb.len(), smodel.len());
+                prop_assert_eq!(sb.end(), base + smodel.len() as u32);
+                prop_assert_eq!(sb.room(), SEND_CAP - smodel.len());
+                prop_assert_eq!(sb.len_from(base + a as u32), smodel.len().saturating_sub(a));
+                prop_assert_eq!(rb.len(), rmodel.len());
+                prop_assert_eq!(rb.window(), RECV_CAP - rmodel.len());
+            }
+            Ok(())
+        },
+    );
+}
+
+/// The stream buffers' allocated bytes are what `ConnBudget` charges, so
+/// how the rings grow is pinned: a fixed push/ack/write/read sequence
+/// gives fixed `heap_bytes` values.
+#[test]
+fn stream_buffer_heap_growth_is_pinned() {
+    let mut sb = SendBuffer::new(SeqNum(u32::MAX - 700), 64 * 1024);
+    let mut rb = RecvBuffer::new(64 * 1024);
+    let mut out = vec![0u8; 64 * 1024];
+    let mut got = Vec::new();
+    for (n, k) in [
+        (20, 0),
+        (1460, 20),
+        (5000, 1000),
+        (16 * 1024, 3000),
+        (40_000, 40_000),
+        (1, 9_000),
+        (64 * 1024, 0),
+    ] {
+        sb.push(&vec![7u8; n]);
+        sb.ack_to(sb.base() + k as u32);
+        sb.peek(sb.base(), 1460);
+        rb.write(&vec![9u8; n]);
+        rb.read(&mut out[..k]);
+        got.push((sb.heap_bytes(), rb.heap_bytes()));
+    }
+    assert_eq!(got, PINNED_HEAP_BYTES);
+}
+
+const PINNED_HEAP_BYTES: [(usize, usize); 7] = [
+    (20, 20),
+    (1480, 1480),
+    (6460, 6460),
+    (21844, 21844),
+    (58844, 58844),
+    (58844, 58844),
+    (117688, 117688),
+];
+
 /// Reno invariants: cwnd stays >= 1 MSS, never exceeds doubling per
 /// ACK volley, and loss events reduce it.
 #[test]

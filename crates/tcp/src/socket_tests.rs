@@ -488,3 +488,142 @@ fn snapshot_restore_preserves_selected_algorithm() {
     assert_eq!(r.cc_algo(), CongestionAlgo::Dctcp);
     assert_eq!(r.snapshot(), img, "snapshot/restore/snapshot is identity");
 }
+
+// --- in-order receive path -------------------------------------------------
+
+/// A client data segment starting `off` bytes past the server's
+/// `rcv_nxt` (negative: partly or wholly already received).
+fn data_seg(s: &TcpSocket, off: i32) -> TcpHeader {
+    TcpHeader::new(
+        40000,
+        80,
+        SeqNum(s.fc.rcv_nxt.0.wrapping_add(off as u32)),
+        s.rel.snd_nxt,
+        neat_net::TcpFlags::psh_ack(),
+    )
+}
+
+/// Count and clear the `Readable` events queued so far.
+fn take_readable(s: &mut TcpSocket) -> usize {
+    let n = s
+        .events
+        .iter()
+        .filter(|e| matches!(e, SockEvent::Readable(_)))
+        .count();
+    s.events.clear();
+    n
+}
+
+fn recv_all(s: &mut TcpSocket) -> Vec<u8> {
+    let mut buf = [0u8; 256];
+    let mut got = Vec::new();
+    while let Ok(n) = s.recv(&mut buf) {
+        if n == 0 {
+            break;
+        }
+        got.extend_from_slice(&buf[..n]);
+    }
+    got
+}
+
+#[test]
+fn partially_old_segment_delivers_only_new_bytes() {
+    let (_c, mut s) = established();
+    s.events.clear();
+    let start = s.fc.rcv_nxt;
+    s.on_segment(&data_seg(&s, 0), b"hello", 0);
+    assert_eq!(s.fc.rcv_nxt, start + 5);
+    assert_eq!(take_readable(&mut s), 1);
+    assert!(s.poll_transmit(0).is_none(), "one segment: ACK delayed");
+    s.on_segment(&data_seg(&s, -3), b"lloworld", 0);
+    assert_eq!(s.fc.rcv_nxt, start + 10);
+    assert_eq!(take_readable(&mut s), 1);
+    let (ack, _) = s.poll_transmit(0).expect("second segment: ACK now");
+    assert_eq!(ack.ack, start + 10);
+    assert!(
+        s.fc.asm.is_empty(),
+        "in-order bytes never enter the assembler"
+    );
+    assert_eq!(recv_all(&mut s), b"helloworld");
+}
+
+#[test]
+fn entirely_old_duplicate_delivers_nothing() {
+    let (_c, mut s) = established();
+    s.events.clear();
+    let start = s.fc.rcv_nxt;
+    s.on_segment(&data_seg(&s, 0), b"hello", 0);
+    assert_eq!(take_readable(&mut s), 1);
+    s.on_segment(&data_seg(&s, -5), b"hello", 0);
+    assert_eq!(s.fc.rcv_nxt, start + 5);
+    assert_eq!(take_readable(&mut s), 0);
+    let (ack, _) = s.poll_transmit(0).expect("a duplicate is ACKed at once");
+    assert_eq!(ack.ack, start + 5);
+    assert!(s.poll_transmit(0).is_none());
+    assert_eq!(recv_all(&mut s), b"hello");
+}
+
+#[test]
+fn segment_longer_than_assembler_cap_is_dropped() {
+    let (_c, mut s) = established();
+    s.set_opt(SockOpt::RecvBuf(100));
+    s.events.clear();
+    let start = s.fc.rcv_nxt;
+    s.on_segment(&data_seg(&s, 0), &[7u8; 150], 0);
+    assert_eq!(s.fc.rcv_nxt, start, "over-cap segment dropped whole");
+    assert_eq!(take_readable(&mut s), 0);
+    assert_eq!(s.fc.recv_buf.window(), 100);
+    assert!(s.poll_transmit(0).is_none(), "one segment: ACK delayed");
+    s.on_segment(&data_seg(&s, 0), &[7u8; 100], 0);
+    assert_eq!(s.fc.rcv_nxt, start + 100);
+    assert_eq!(take_readable(&mut s), 1);
+    let (ack, _) = s.poll_transmit(0).expect("second segment: ACK now");
+    assert_eq!(ack.ack, start + 100);
+    assert_eq!(ack.window, 0);
+}
+
+#[test]
+fn full_receive_buffer_drops_the_tail() {
+    let (_c, mut s) = established();
+    s.set_opt(SockOpt::RecvBuf(100));
+    s.events.clear();
+    let start = s.fc.rcv_nxt;
+    s.on_segment(&data_seg(&s, 0), &[1u8; 60], 0);
+    assert_eq!(s.fc.recv_buf.window(), 40);
+    assert_eq!(take_readable(&mut s), 1);
+    s.on_segment(&data_seg(&s, 0), &[2u8; 70], 0);
+    assert_eq!(s.fc.rcv_nxt, start + 100, "only what fits is taken");
+    assert_eq!(s.fc.recv_buf.window(), 0);
+    assert_eq!(take_readable(&mut s), 1);
+    let (ack, _) = s.poll_transmit(0).expect("second segment: ACK now");
+    assert_eq!(ack.ack, start + 100);
+    assert_eq!(ack.window, 0, "the shrunken window is advertised");
+    let got = recv_all(&mut s);
+    assert_eq!(got.len(), 100);
+    assert!(got[..60].iter().all(|&b| b == 1) && got[60..].iter().all(|&b| b == 2));
+}
+
+#[test]
+fn hole_filled_after_out_of_order_data() {
+    let (_c, mut s) = established();
+    s.events.clear();
+    let start = s.fc.rcv_nxt;
+    s.on_segment(&data_seg(&s, 5), b"world", 0);
+    assert_eq!(s.fc.rcv_nxt, start);
+    assert_eq!(take_readable(&mut s), 0);
+    assert_eq!(s.fc.asm.buffered(), 5);
+    let (ack, _) = s.poll_transmit(0).expect("out of order: ACK now");
+    assert_eq!(ack.ack, start);
+    s.on_segment(&data_seg(&s, 0), b"hello", 0);
+    assert_eq!(s.fc.rcv_nxt, start + 10);
+    assert_eq!(take_readable(&mut s), 1);
+    assert!(s.fc.asm.is_empty());
+    // One segment since the last ACK and nothing held: delayed, like any
+    // single in-order segment.
+    assert!(s.poll_transmit(0).is_none());
+    let at = s.next_timeout().expect("delayed-ack timer armed");
+    s.on_timer(at);
+    let (ack, _) = s.poll_transmit(at).expect("delayed ACK fires");
+    assert_eq!(ack.ack, start + 10);
+    assert_eq!(recv_all(&mut s), b"helloworld");
+}

@@ -8,7 +8,8 @@
 #
 # Usage:
 #   scripts/ci.sh                 # every tier (the full gate)
-#   scripts/ci.sh --tier1         # build + test + fmt + clippy only
+#   scripts/ci.sh --tier1         # build + test (workspace and perfbench)
+#                                 # + fmt + clippy only
 #   scripts/ci.sh --tier2         # quick benches + regression gates
 #                                 # (expects a tier-1 build already present)
 #
@@ -73,6 +74,12 @@ if [ "$TIER1" = 1 ]; then
     run cargo build --release --offline
 
     run cargo test -q --offline
+
+    # The benchmark (perfbench/) is a Cargo workspace of its own with path
+    # dependencies on crates/: build and test it here too, so a crate API
+    # change cannot break the benchmark without this gate noticing.
+    run cargo test --release --offline --manifest-path perfbench/Cargo.toml
+    run python3 -m unittest discover -s perfbench -p 'test_*.py'
 
     # Formatting is checked only when rustfmt is installed; minimal
     # toolchains without the rustfmt component still get a green gate.
